@@ -480,12 +480,20 @@ def run_suite(
     failures: list[str] = []
 
     if name == "cutcalc":
-        targets = [("input", poset)] if poset is not None else corpus_posets(count or 50)
+        targets = (
+            [("input", poset)]
+            if poset is not None
+            else corpus_posets(50 if count is None else count)
+        )
         for pname, p in targets:
             failures.extend(check_bound_calculus(pname, p))
         summary = f"cutcalc on {len(targets)} posets"
     elif name == "macneille":
-        targets = [("input", poset)] if poset is not None else corpus_posets(count or 50)
+        targets = (
+            [("input", poset)]
+            if poset is not None
+            else corpus_posets(50 if count is None else count)
+        )
         for pname, p in targets:
             failures.extend(check_completion(pname, p))
         summary = f"macneille on {len(targets)} posets"
@@ -496,7 +504,7 @@ def run_suite(
         instances = (
             [("input", instance)]
             if instance is not None
-            else equation_corpus(count or 25)
+            else equation_corpus(25 if count is None else count)
         )
         for ename, e in instances:
             failures.extend(check_equation(ename, e))
@@ -505,13 +513,13 @@ def run_suite(
         instances = (
             [("input", instance)]
             if instance is not None
-            else equation_corpus(count or 25)
+            else equation_corpus(25 if count is None else count)
         )
         for ename, e in instances:
             failures.extend(check_global(ename, e))
         summary = f"global characterization on {len(instances)} instances"
     elif name == "boundchain":
-        seeds = range(count or 100)
+        seeds = range(100 if count is None else count)
         for seed in seeds:
             failures.extend(check_bound_chain_instance(seed))
         summary = f"bound chain on {len(seeds)} increasing maps"

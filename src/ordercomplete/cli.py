@@ -155,9 +155,20 @@ def _cmd_export(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and caps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_caps(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-arity", type=int, default=DEFAULT_MAX_ARITY)
-    parser.add_argument("--max-cuts", type=int, default=DEFAULT_MAX_CUTS)
+    parser.add_argument("--max-arity", type=_positive_int, default=DEFAULT_MAX_ARITY)
+    parser.add_argument("--max-cuts", type=_positive_int, default=DEFAULT_MAX_CUTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("suite", help="one of " + ", ".join(checks.SUITES))
     p.add_argument("--input", help="poset or equation JSON to check instead of the corpus")
-    p.add_argument("--count", type=int, help="batch size for corpus-driven suites")
+    p.add_argument(
+        "--count", type=_positive_int, help="batch size for corpus-driven suites"
+    )
     _add_caps(p)
     p.set_defaults(func=_cmd_check)
 

@@ -10,7 +10,7 @@ command, never by the production operations.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .completion import CompletedPoset, Cut
 from .errors import MultipleSolutions, NoBound, ResourceCap
@@ -92,6 +92,28 @@ def brute_bound(
             if all(other & ~c == 0 for other in candidates):
                 return Cut(completion.parent, c)
     raise NoBound(f"no {which} exists; the cut lattice is not complete (bug)")
+
+
+def brute_covers(masks: Sequence[int]) -> list[tuple[int, int]]:
+    """Cover edges (i, j) of the inclusion order on a family of masks.
+
+    Tests every pair against every third mask, so O(k^3).
+    """
+    n = len(masks)
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or masks[i] & ~masks[j]:
+                continue
+            if any(
+                k not in (i, j)
+                and masks[i] & ~masks[k] == 0
+                and masks[k] & ~masks[j] == 0
+                for k in range(n)
+            ):
+                continue
+            covers.append((i, j))
+    return covers
 
 
 @lru_cache(maxsize=256)

@@ -33,12 +33,10 @@ DEFAULT_MAX_ARITY = 20
 
 def _mask_members(mask: int) -> tuple[int, ...]:
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 
@@ -182,7 +180,7 @@ class Subset:
         return tuple(labels[i] for i in self.members())
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, label: str) -> bool:
         return bool((self.mask >> self.parent.index(label)) & 1)

@@ -90,6 +90,17 @@ class TestComplete:
         result = run("complete", "--input", str(path), "--max-cuts", "10")
         assert result.returncode == 3
 
+    @pytest.mark.parametrize(
+        "flags", [("--max-cuts", "0"), ("--max-arity", "0"), ("--max-arity", "-5")]
+    )
+    def test_non_positive_caps_exit_2(self, tmp_path, flags):
+        path = tmp_path / "chain1.json"
+        run("gen", "--family", "chain", "--n", "1", "--output", str(path))
+        result = run("complete", "--input", str(path), *flags)
+        assert result.returncode == 2
+        assert "must be at least 1" in result.stderr
+        assert result.stdout == ""
+
     def test_unicode_labels_round_trip(self, tmp_path):
         path = tmp_path / "greek.json"
         path.write_text(
@@ -202,6 +213,15 @@ class TestCheck:
         result = run("check", "theorem41", "--count", "3")
         assert result.returncode == 0
         assert result.stdout.startswith("PASS")
+
+    @pytest.mark.parametrize(
+        "suite, count", [("boundchain", "-3"), ("theorem41", "0"), ("macneille", "0")]
+    )
+    def test_non_positive_count_exits_2(self, suite, count):
+        result = run("check", suite, "--count", count)
+        assert result.returncode == 2
+        assert "must be at least 1" in result.stderr
+        assert result.stdout == ""
 
     def test_unknown_suite_exits_2(self):
         result = run("check", "nonsense")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +18,8 @@ from ordercomplete.completion import (
     verify_macneille,
 )
 from ordercomplete.errors import InvalidCut, ParentMismatch, ResourceCap
-from ordercomplete.oracle import brute_bound, brute_cuts
+from ordercomplete.generators import GeneratorSpec, generate
+from ordercomplete.oracle import brute_bound, brute_covers, brute_cuts
 from ordercomplete.poset import Subset, build_poset
 
 from conftest import posets, posets_with_mask
@@ -28,6 +31,14 @@ def chain3():
 
 def antichain(n):
     return build_poset([f"a{i}" for i in range(n)], [])
+
+
+def standard(n):
+    """S_n: minimal a_i below maximal b_j whenever i != j; it has 2^n cuts."""
+    lows = [f"a{i}" for i in range(n)]
+    highs = [f"b{j}" for j in range(n)]
+    pairs = [(a, b) for i, a in enumerate(lows) for j, b in enumerate(highs) if i != j]
+    return build_poset(lows + highs, pairs)
 
 
 def diamond():
@@ -130,6 +141,13 @@ class TestEnumeration:
         p = antichain(12)
         with pytest.raises(ResourceCap):
             macneille_completion(p, max_cuts=10)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_cut_cap_is_exact(self, n):
+        poset = standard(n)
+        assert macneille_completion(poset, max_cuts=2**n).cut_count == 2**n
+        with pytest.raises(ResourceCap):
+            macneille_completion(poset, max_cuts=2**n - 1)
 
     def test_embedding_points_at_principal_cuts(self):
         p = diamond()
@@ -244,8 +262,54 @@ class TestVerification:
         assert not chain_report.empty_set_is_cut
         assert chain_report.inf_side_empty == ()
 
+    def test_missing_middle_cut_is_named(self):
+        # 64 cuts: far too many families for an exhaustive family scan
+        poset = standard(6)
+        full = macneille_completion(poset)
+        dropped = next(m for m in full.cut_masks if m.bit_count() == 3)
+        masks = tuple(m for m in full.cut_masks if m != dropped)
+        index = {m: i for i, m in enumerate(masks)}
+        partial = CompletedPoset(poset, masks, tuple(index[d] for d in poset.down_masks))
+        report = verify_macneille(partial)
+        assert report.complete is False
+        assert f"completion misses the cut {cut_label(poset, dropped)}" in report.failures
+        assert verify_macneille(full).complete
+
+    def test_exhaustive_describes_the_element_subset_scan(self):
+        completion = macneille_completion(standard(6))
+        assert verify_macneille(completion).exhaustive
+        assert not verify_macneille(completion, family_limit=2**11).exhaustive
+
+
+def _dot_edges(text):
+    return sorted(
+        (int(i), int(j)) for i, j in re.findall(r"^  c(\d+) -> c(\d+);$", text, re.M)
+    )
+
+
+COVER_CASES = {
+    "S6": standard(6),
+    "S8": standard(8),
+    "boolean(4)": generate(GeneratorSpec("boolean", k=4)),
+    "divisor(60)": generate(GeneratorSpec("divisor", m=60)),
+    "gridfn(2,4)": generate(GeneratorSpec("gridfn", g=2, v=4)).codomain,
+    **{
+        f"random(seed={seed})": generate(
+            GeneratorSpec("random", n=6 + seed, density=0.3, seed=seed)
+        )
+        for seed in range(6)
+    },
+}
+
 
 class TestDotExport:
+    @pytest.mark.parametrize("name", list(COVER_CASES))
+    def test_edges_match_brute_covers(self, name):
+        completion = macneille_completion(COVER_CASES[name])
+        edges = _dot_edges(to_dot(completion))
+        assert edges == sorted(brute_covers(completion.cut_masks))
+        assert edges
+
     def test_dot_contains_cover_edges_only(self):
         text = to_dot(macneille_completion(chain3()))
         assert "c0 -> c1;" in text and "c1 -> c2;" in text
