@@ -32,6 +32,8 @@ def _read_json(path: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInput(f"{path}: JSON is nested too deeply") from None
     except OSError as exc:
         raise InvalidInput(f"{path}: {exc.strerror}") from None
 

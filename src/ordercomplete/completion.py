@@ -7,27 +7,32 @@ context (P, P, <=), so the kernels are the standard concept-lattice
 ones: enumeration intersects the cuts found so far with one principal
 down-set at a time (Norris 1978), Hasse covers are the minimal closures
 of a cut plus one element (Lindig 2000), and completeness of a cut list
-is certified exactly by its closure under those intersections.  The
+is certified exactly by its closure under those intersections.  Every
+closure goes through the table-driven kernel of `poset`.  The
 exponential 2^n scan and the cubic cover scan live in `oracle` as the
 reference implementations.
 
 Canonical cut order is (cardinality, then member indices lexicographically);
-all reports and file formats rely on it for reproducibility.
+all reports and file formats rely on it for reproducibility.  It is
+computed as one integer per mask, ``_canonical_key``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable
 
 from .errors import InvalidCut, ResourceCap
 from .poset import (
     Poset,
     Subset,
+    _closure_mask,
+    _lower_mask,
     _mask_members,
     _require_same_parent,
+    _upper_mask,
     has_maximum,
     has_minimum,
     maximum_index,
@@ -35,24 +40,6 @@ from .poset import (
 )
 
 DEFAULT_MAX_CUTS = 4096
-
-
-def _upper_mask(poset: Poset, mask: int) -> int:
-    out = poset.full_mask
-    for i in _mask_members(mask):
-        out &= poset.up_masks[i]
-    return out
-
-
-def _lower_mask(poset: Poset, mask: int) -> int:
-    out = poset.full_mask
-    for i in _mask_members(mask):
-        out &= poset.down_masks[i]
-    return out
-
-
-def _closure_mask(poset: Poset, mask: int) -> int:
-    return _lower_mask(poset, _upper_mask(poset, mask))
 
 
 def cut_label(poset: Poset, mask: int) -> str:
@@ -94,8 +81,16 @@ def embed(poset: Poset, label: str) -> Cut:
     return Cut(poset, poset.down_masks[poset.index(label)])
 
 
-def _canonical_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    return (mask.bit_count(), _mask_members(mask))
+def _canonical_key(arity: int, mask: int) -> int:
+    """Integer sort key giving the order of (cardinality, member tuple).
+
+    Of two sets of one size, the one holding the lowest element of their
+    symmetric difference comes first.  Reversing the bits of the
+    complement turns that element into the highest bit where the two
+    keys differ, and a 0 there for the set that holds it.
+    """
+    rest = f"{~mask & ((1 << arity) - 1):0{arity}b}"
+    return (mask.bit_count() << arity) | int(rest[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -110,18 +105,20 @@ class CompletedPoset:
     embedding: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
         for mask in self.cut_masks:
-            if mask in seen:
-                raise InvalidCut("duplicate cut in completion")
-            seen.add(mask)
             if _closure_mask(self.parent, mask) != mask:
                 raise InvalidCut(
                     f"{cut_label(self.parent, mask)} listed in a completion "
                     "but is not a cut"
                 )
-        if list(self.cut_masks) != sorted(self.cut_masks, key=_canonical_key):
-            raise InvalidCut("completion cuts are not in canonical order")
+        # the key is injective, so strictly increasing keys also rule out
+        # duplicates
+        keys = list(map(partial(_canonical_key, self.parent.arity), self.cut_masks))
+        for before, after in zip(keys, keys[1:]):
+            if before == after:
+                raise InvalidCut("duplicate cut in completion")
+            if before > after:
+                raise InvalidCut("completion cuts are not in canonical order")
         for i in range(self.parent.arity):
             principal = self.parent.down_masks[i]
             if self.cut_masks[self.embedding[i]] != principal:
@@ -188,7 +185,7 @@ def macneille_completion(poset: Poset, max_cuts: int = DEFAULT_MAX_CUTS) -> Comp
         if len(found) > max_cuts:
             raise ResourceCap(f"completion exceeds cut cap {max_cuts}")
 
-    cut_masks = tuple(sorted(found, key=_canonical_key))
+    cut_masks = tuple(sorted(found, key=partial(_canonical_key, poset.arity)))
     index = {m: i for i, m in enumerate(cut_masks)}
     embedding = tuple(index[poset.down_masks[i]] for i in range(poset.arity))
     return CompletedPoset(poset, cut_masks, embedding)
@@ -300,7 +297,10 @@ def verify_macneille(
     # (1) the list holds the full carrier and every principal intersection
     required = {down & mask for down in set(poset.down_masks) for mask in masks}
     required.add(poset.full_mask)
-    missing = sorted(required.difference(completion._mask_index), key=_canonical_key)
+    missing = sorted(
+        required.difference(completion._mask_index),
+        key=partial(_canonical_key, poset.arity),
+    )
     complete = not missing
     for mask in missing[:4]:
         failures.append(f"completion misses the cut {cut_label(poset, mask)}")

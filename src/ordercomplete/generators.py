@@ -14,6 +14,7 @@ that.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Union
@@ -90,7 +91,9 @@ def boolean_data(k: int) -> PosetData:
 
 def divisor_data(m: int) -> PosetData:
     _require(m >= 1, "divisor needs m >= 1")
-    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    # divisors pair up as d and m // d with d <= sqrt(m)
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    divisors = small + [m // d for d in reversed(small) if d * d != m]
     _cap(len(divisors), "divisor lattice")
     labels = tuple(str(d) for d in divisors)
     pairs = [

@@ -16,7 +16,7 @@ from .completion import CompletedPoset
 from .errors import SchemaError
 from .poset import CarrierSet, DEFAULT_MAX_ARITY, Parent, Poset, Subset, build_poset
 from .mapext import PosetMap
-from .solver import GlobalReport, SolveReport
+from .solver import SolveReport
 
 SCHEMA_VERSION = 1
 
@@ -218,16 +218,4 @@ def solve_report_to_data(report: SolveReport) -> dict:
             "empty_set_in_quotient_completion": flags.empty_set_in_quotient_completion,
             "empty_set_in_codomain_completion": flags.empty_set_in_codomain_completion,
         },
-    }
-
-
-def global_report_to_data(report: GlobalReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "covers_embedded_codomain": report.covers_embedded_codomain,
-        "image_is_whole_completion": report.image_is_whole_completion,
-        "flags_agree": report.flags_agree,
-        "order_isomorphism": report.order_isomorphism,
-        "image_size": report.image_size,
-        "completion_sizes": list(report.completion_sizes),
     }

@@ -9,8 +9,8 @@ command, never by the production operations.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Sequence
+from weakref import WeakKeyDictionary
 
 from .completion import CompletedPoset, Cut
 from .errors import MultipleSolutions, NoBound, ResourceCap
@@ -116,19 +116,27 @@ def brute_covers(masks: Sequence[int]) -> list[tuple[int, int]]:
     return covers
 
 
-@lru_cache(maxsize=256)
+# one table per live instance: consecutive brute_solve calls on one
+# instance (one per target) share it, and it dies with the instance
+_image_tables: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def _brute_image_table(instance: EquationInstance) -> tuple[tuple[int, int], ...]:
     """(quotient cut mask, codomain image mask) pairs, all by definition."""
+    table = _image_tables.get(instance)
+    if table is not None:
+        return table
     order = instance.quotient.order
     codomain = instance.codomain
     assignment = instance.t_approx.assignment
-    table = []
+    pairs = []
     for cut in brute_cuts(order):
         image = 0
         for i in cut.members():
             image |= 1 << assignment[i]
-        table.append((cut.mask, brute_closure(codomain, image)))
-    return tuple(table)
+        pairs.append((cut.mask, brute_closure(codomain, image)))
+    table = _image_tables[instance] = tuple(pairs)
+    return table
 
 
 def brute_solve(instance: EquationInstance, target: Subset) -> Cut | None:

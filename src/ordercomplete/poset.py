@@ -9,6 +9,12 @@ bitmasks over those positions.  The two derived operators
 use the convention that an intersection over an empty family is the full
 carrier, so ``A = {}`` gives ``A^u = A^l = X``.
 
+They are computed by one table-driven kernel (``_upper_mask``,
+``_lower_mask``, ``_closure_mask``).  Each poset caches, per chunk of 8
+elements, the intersections of the rows picked by each byte value,
+so A^u and A^l cost one lookup per chunk: at most three at the default
+arity cap of 20.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
 """
@@ -29,6 +35,22 @@ from .errors import (
 )
 
 DEFAULT_MAX_ARITY = 20
+
+
+def _row_tables(rows: Sequence[int], full: int) -> tuple[tuple[int, ...], ...]:
+    """Per-byte intersection tables of a list of rows.
+
+    ``tables[c][b]`` is the intersection of ``full`` with the rows
+    ``8c + i`` for the set bits i of b.  Each row doubles its table: the
+    new upper half is the old table intersected with that row.
+    """
+    tables = []
+    for start in range(0, len(rows), 8):
+        table = [full]
+        for row in rows[start : start + 8]:
+            table += [entry & row for entry in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
@@ -109,9 +131,17 @@ class Poset:
     def arity(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
+
+    @cached_property
+    def _up_tables(self) -> tuple[tuple[int, ...], ...]:
+        return _row_tables(self.up_masks, self.full_mask)
+
+    @cached_property
+    def _down_tables(self) -> tuple[tuple[int, ...], ...]:
+        return _row_tables(self.down_masks, self.full_mask)
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
@@ -145,14 +175,6 @@ class Poset:
             mask |= 1 << self.index(name)
         return Subset(self, mask)
 
-    def subset_of_indices(self, indices: Iterable[int]) -> "Subset":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < self.arity:
-                raise UnknownElement(f"element index {i} out of range")
-            mask |= 1 << i
-        return Subset(self, mask)
-
 
 Parent = Union[Poset, CarrierSet]
 
@@ -184,10 +206,6 @@ class Subset:
 
     def __contains__(self, label: str) -> bool:
         return bool((self.mask >> self.parent.index(label)) & 1)
-
-    def is_subset_of(self, other: "Subset") -> bool:
-        _require_same_parent(self.parent, other)
-        return self.mask & ~other.mask == 0
 
 
 def _require_same_parent(parent: Parent, subset: Subset) -> None:
@@ -254,22 +272,39 @@ def up_set(poset: Poset, label: str) -> Subset:
     return Subset(poset, poset.up_masks[poset.index(label)])
 
 
+def _upper_mask(poset: Poset, mask: int) -> int:
+    """A^u of a mask: one table lookup per chunk of 8 elements."""
+    out = poset.full_mask
+    for table in poset._up_tables:
+        out &= table[mask & 255]
+        mask >>= 8
+    return out
+
+
+def _lower_mask(poset: Poset, mask: int) -> int:
+    """A^l of a mask: one table lookup per chunk of 8 elements."""
+    out = poset.full_mask
+    for table in poset._down_tables:
+        out &= table[mask & 255]
+        mask >>= 8
+    return out
+
+
+def _closure_mask(poset: Poset, mask: int) -> int:
+    """A^ul of a mask, the least cut containing it."""
+    return _lower_mask(poset, _upper_mask(poset, mask))
+
+
 def upper_bounds(poset: Poset, subset: Subset) -> Subset:
     """All common upper bounds of the subset; the full carrier for {}."""
     _require_same_parent(poset, subset)
-    out = poset.full_mask
-    for i in subset.members():
-        out &= poset.up_masks[i]
-    return Subset(poset, out)
+    return Subset(poset, _upper_mask(poset, subset.mask))
 
 
 def lower_bounds(poset: Poset, subset: Subset) -> Subset:
     """All common lower bounds of the subset; the full carrier for {}."""
     _require_same_parent(poset, subset)
-    out = poset.full_mask
-    for i in subset.members():
-        out &= poset.down_masks[i]
-    return Subset(poset, out)
+    return Subset(poset, _lower_mask(poset, subset.mask))
 
 
 def minimals(poset: Poset) -> Subset:

@@ -22,15 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .completion import (
     CompletedPoset,
     Cut,
     DEFAULT_MAX_CUTS,
-    inf_cuts,
+    _upper_covers,
     is_cut,
     macneille_completion,
-    sup_cuts,
 )
 from .errors import InvalidCut, OrderCompletionError, ParentMismatch, UnknownElement
 from .mapext import ExtendedMap, PosetMap, apply_extension, extension_cut_map
@@ -38,6 +38,7 @@ from .poset import (
     CarrierSet,
     Poset,
     Subset,
+    _closure_mask,
     has_maximum,
     has_minimum,
 )
@@ -201,43 +202,55 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
 
     qc = instance.quotient_completion
     cc = instance.codomain_completion
+    order = qc.parent
+    codomain = instance.codomain
+    qmasks = qc.cut_masks
+    cmasks = cc.cut_masks
     lower: list[int] = []
     upper: list[int] = []
+    union = 0
+    meet = codomain.full_mask
     for i, image_index in enumerate(instance.images):
-        image_mask = cc.cut_masks[image_index]
+        image_mask = cmasks[image_index]
         if image_mask & ~f_mask == 0:
             lower.append(i)
+            union |= image_mask
         if f_mask & ~image_mask == 0:
             upper.append(i)
+            meet &= image_mask
 
-    sup_images = sup_cuts(cc, [cc.cuts[instance.images[i]] for i in lower])
-    inf_images = inf_cuts(cc, [cc.cuts[instance.images[i]] for i in upper])
-    solvable = sup_images.mask == inf_images.mask
+    sup_mask = _closure_mask(codomain, union)
+    solvable = sup_mask == meet
 
     solution: Cut | None = None
     if solvable:
-        from_lower = sup_cuts(qc, [qc.cuts[i] for i in lower])
-        from_upper = inf_cuts(qc, [qc.cuts[i] for i in upper])
-        if from_lower.mask != from_upper.mask:
+        from_lower = 0
+        for i in lower:
+            from_lower |= qmasks[i]
+        from_lower = _closure_mask(order, from_lower)
+        from_upper = order.full_mask
+        for i in upper:
+            from_upper &= qmasks[i]
+        if from_lower != from_upper:
             raise OrderCompletionError(
                 "sup of the lower family differs from inf of the upper family; "
                 "this is a bug"
             )
-        applied = cc.cut_masks[instance.images[qc.index_of(from_lower)]]
+        solution = Cut(order, from_lower)
+        applied = cmasks[instance.images[qc.index_of(solution)]]
         if applied != f_mask:
             raise OrderCompletionError(
                 "constructed solution does not map onto the target; this is a bug"
             )
-        solution = from_lower
 
     return SolveReport(
-        target=Cut(instance.codomain, f_mask),
+        target=Cut(codomain, f_mask),
         solvable=solvable,
         solution=solution,
-        sup_of_images=sup_images,
-        inf_of_images=inf_images,
-        lower_family=tuple(qc.cuts[i] for i in lower),
-        upper_family=tuple(qc.cuts[i] for i in upper),
+        sup_of_images=Cut(codomain, sup_mask),
+        inf_of_images=Cut(codomain, meet),
+        lower_family=tuple(Cut(order, qmasks[i]) for i in lower),
+        upper_family=tuple(Cut(order, qmasks[i]) for i in upper),
         empty_family_flags=EmptyFamilyFlags(lower=not lower, upper=not upper),
         assumption_flags=instance.assumption_flags,
     )
@@ -259,6 +272,20 @@ class GlobalReport:
         return self.covers_embedded_codomain == self.image_is_whole_completion
 
 
+def _increasing_on_covers(
+    source: CompletedPoset, index_map: Sequence[int], target: CompletedPoset
+) -> bool:
+    """Whether a cut index map keeps inclusion along every upper cover."""
+    index = source._mask_index
+    tmasks = target.cut_masks
+    for i, mask in enumerate(source.cut_masks):
+        image = tmasks[index_map[i]]
+        for upper in _upper_covers(source.parent, mask):
+            if image & ~tmasks[index_map[index[upper]]]:
+                return False
+    return True
+
+
 def global_character(instance: EquationInstance) -> GlobalReport:
     """Check whether every embedded codomain element (equivalently, every
     cut of the codomain completion) is hit by T#, and when the image is
@@ -272,21 +299,17 @@ def global_character(instance: EquationInstance) -> GlobalReport:
 
     order_iso: bool | None = None
     if image_is_all:
+        # a bijection is an order isomorphism when it and its inverse are
+        # increasing, and both orders are the transitive closures of
+        # their covers
         order_iso = len(instance.images) == cc.cut_count
         if order_iso:
-            qmasks = qc.cut_masks
-            cmasks = cc.cut_masks
-            for i in range(len(qmasks)):
-                for j in range(len(qmasks)):
-                    lhs = qmasks[i] & ~qmasks[j] == 0
-                    rhs = (
-                        cmasks[instance.images[i]] & ~cmasks[instance.images[j]] == 0
-                    )
-                    if lhs != rhs:
-                        order_iso = False
-                        break
-                if not order_iso:
-                    break
+            inverse = [0] * cc.cut_count
+            for i, image_index in enumerate(instance.images):
+                inverse[image_index] = i
+            order_iso = _increasing_on_covers(
+                qc, instance.images, cc
+            ) and _increasing_on_covers(cc, inverse, qc)
 
     return GlobalReport(
         covers_embedded_codomain=covers_embedded,

@@ -67,6 +67,14 @@ class TestComplete:
         assert result.returncode == 2
         assert "JSON" in result.stderr
 
+    def test_deeply_nested_json_exits_2(self, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        result = run("complete", "--input", str(deep))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+
     def test_missing_file_exits_2(self, tmp_path):
         result = run("complete", "--input", str(tmp_path / "absent.json"))
         assert result.returncode == 2

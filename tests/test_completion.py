@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from ordercomplete.completion import (
     CompletedPoset,
     Cut,
+    _canonical_key,
     cut_closure,
     cut_label,
     embed,
@@ -23,6 +25,10 @@ from ordercomplete.oracle import brute_bound, brute_covers, brute_cuts
 from ordercomplete.poset import Subset, build_poset
 
 from conftest import posets, posets_with_mask
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
 def chain3():
@@ -160,6 +166,43 @@ class TestEnumeration:
         c = macneille_completion(p)
         with pytest.raises(InvalidCut):
             CompletedPoset(p, tuple(reversed(c.cut_masks)), c.embedding)
+
+    def test_completion_constructor_rejects_each_fault(self):
+        p = standard(3)
+        c = macneille_completion(p)
+        masks = list(c.cut_masks)
+        # an equal-size neighbour pair is ordered by the tie-break alone
+        i = next(
+            i for i in range(len(masks) - 1)
+            if masks[i].bit_count() == masks[i + 1].bit_count()
+        )
+        swapped = masks[:i] + [masks[i + 1], masks[i]] + masks[i + 2 :]
+        not_closed = p.subset(["a0", "a1", "a2"]).mask
+        with_open = sorted(
+            masks + [not_closed], key=lambda m: (m.bit_count(), _members(m))
+        )
+        faults = {
+            "duplicate": masks[:2] + masks[1:],
+            "not a cut": with_open,
+            "canonical order": swapped,
+        }
+        for message, listed in faults.items():
+            with pytest.raises(InvalidCut, match=message):
+                CompletedPoset(p, tuple(listed), c.embedding)
+        with pytest.raises(InvalidCut, match="embedding"):
+            CompletedPoset(p, c.cut_masks, tuple(reversed(c.embedding)))
+
+    @given(
+        st.integers(0, 24).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=40)
+            )
+        )
+    )
+    def test_integer_key_orders_like_member_tuples(self, case):
+        n, masks = case
+        by_key = sorted(masks, key=partial(_canonical_key, n))
+        assert by_key == sorted(masks, key=lambda m: (m.bit_count(), _members(m)))
 
 
 class TestBoundsInCompletion:

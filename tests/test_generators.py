@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ordercomplete.completion import macneille_completion
@@ -5,6 +7,7 @@ from ordercomplete.errors import BadSpec, ResourceCap
 from ordercomplete.generators import (
     GeneratorSpec,
     describe,
+    divisor_data,
     generate,
     random_equation,
 )
@@ -38,6 +41,17 @@ class TestFamilies:
         poset = generate(GeneratorSpec("divisor", m=12))
         assert poset.labels == ("1", "2", "3", "4", "6", "12")
         assert poset.leq("2", "6") and not poset.leq("4", "6")
+
+    def test_divisor_matches_trial_division(self):
+        for m in range(1, 501):
+            labels, _, _ = divisor_data(m)
+            assert labels == tuple(str(d) for d in range(1, m + 1) if m % d == 0)
+
+    def test_divisor_of_large_m_is_fast(self):
+        start = time.perf_counter()
+        labels, _, _ = divisor_data(10**12)
+        assert time.perf_counter() - start < 1.0
+        assert len(labels) == 169 and labels[-1] == str(10**12)
 
     def test_divisor_of_two_primes_is_boolean_square(self):
         divisors = generate(GeneratorSpec("divisor", m=15))

@@ -1,9 +1,17 @@
+import gc
+import weakref
+
 import pytest
 
 from ordercomplete.completion import CompletedPoset, inf_cuts, macneille_completion, sup_cuts
 from ordercomplete.errors import NoBound, ResourceCap
 from ordercomplete.generators import GeneratorSpec, generate, random_equation
-from ordercomplete.oracle import brute_bound, brute_cuts, brute_solve
+from ordercomplete.oracle import (
+    _brute_image_table,
+    brute_bound,
+    brute_cuts,
+    brute_solve,
+)
 from ordercomplete.poset import build_poset
 
 
@@ -100,6 +108,17 @@ class TestBruteSolve:
         hit = brute_solve(instance, codomain.subset(["p"]))
         assert hit is not None and hit.names() == ("u",)
         assert brute_solve(instance, codomain.subset(["p", "q"])) is None
+
+    def test_image_table_dies_with_its_instance(self):
+        instance = random_equation(3)
+        for target in instance.codomain_completion.cuts:
+            brute_solve(instance, target)
+        # one table serves every target of the instance
+        assert _brute_image_table(instance) is _brute_image_table(instance)
+        ref = weakref.ref(instance)
+        del instance, target
+        gc.collect()
+        assert ref() is None
 
     def test_never_finds_two_solutions(self):
         for seed in range(25):

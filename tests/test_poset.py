@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -9,9 +11,13 @@ from ordercomplete.errors import (
     ResourceCap,
     UnknownElement,
 )
+from ordercomplete.generators import GeneratorSpec, generate
 from ordercomplete.oracle import brute_lower, brute_upper
 from ordercomplete.poset import (
     Subset,
+    _closure_mask,
+    _lower_mask,
+    _upper_mask,
     build_poset,
     down_set,
     has_maximum,
@@ -248,3 +254,31 @@ class TestOperatorLaws:
             down = Subset(poset, poset.down_masks[x])
             assert lower_bounds(poset, up).mask == poset.down_masks[x]
             assert upper_bounds(poset, down).mask == poset.up_masks[x]
+
+
+def _kernel_agrees_with_oracle(poset, masks):
+    for mask in masks:
+        upper = brute_upper(poset, mask)
+        assert _upper_mask(poset, mask) == upper
+        assert _lower_mask(poset, mask) == brute_lower(poset, mask)
+        assert _closure_mask(poset, mask) == brute_lower(poset, upper)
+
+
+class TestTableKernel:
+    """The per-byte tables must agree with the raw definitions on both
+    sides of every chunk boundary (8 and 16 elements)."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16])
+    def test_every_mask(self, n):
+        poset = generate(GeneratorSpec("random", n=n, density=0.3, seed=n))
+        _kernel_agrees_with_oracle(poset, range(1 << n))
+
+    def test_empty_poset(self):
+        _kernel_agrees_with_oracle(build_poset([], []), [0])
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_sampled_masks(self, n):
+        poset = generate(GeneratorSpec("random", n=n, density=0.2, seed=n))
+        rng = random.Random(n)
+        masks = [0, poset.full_mask] + [rng.getrandbits(n) for _ in range(2000)]
+        _kernel_agrees_with_oracle(poset, masks)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from ordercomplete.completion import embed, macneille_completion
@@ -209,3 +211,57 @@ class TestGlobalCharacter:
         for seed in range(25):
             report = global_character(random_equation(seed))
             assert report.flags_agree
+
+
+def _pair_scan_isomorphism(instance):
+    """Reference: compare inclusion on every pair of quotient cuts."""
+    qmasks = instance.quotient_completion.cut_masks
+    cmasks = instance.codomain_completion.cut_masks
+    images = instance.images
+    return all(
+        (qmasks[i] & ~qmasks[j] == 0)
+        == (cmasks[images[i]] & ~cmasks[images[j]] == 0)
+        for i in range(len(qmasks))
+        for j in range(len(qmasks))
+    )
+
+
+class TestOrderIsomorphismOnCovers:
+    def test_agrees_with_pair_scan_on_seeded_instances(self):
+        outcomes = []
+        for seed in range(100):
+            instance = random_equation(seed)
+            images = instance.images
+            variants = [instance]
+            if len(images) > 2:
+                # swap the first image with the second, then with the last
+                for j in (1, -1):
+                    swapped = list(images)
+                    swapped[0], swapped[j] = swapped[j], swapped[0]
+                    variants.append(replace(instance, images=tuple(swapped)))
+            for variant in variants:
+                report = global_character(variant)
+                if report.order_isomorphism is not None:
+                    outcomes.append(report.order_isomorphism)
+                    assert report.order_isomorphism == _pair_scan_isomorphism(variant)
+        assert outcomes.count(True) >= 10 and outcomes.count(False) >= 10
+
+    def test_swapped_images_are_not_an_isomorphism(self):
+        instance = identity_instance(chain(["a", "b", "c"]))
+        images = instance.images
+        swapped = replace(instance, images=(images[1], images[0]) + images[2:])
+        assert global_character(instance).order_isomorphism is True
+        assert global_character(swapped).order_isomorphism is False
+
+    def test_increasing_bijection_without_increasing_inverse(self):
+        # {} < {p0}, {p1} < {p0,p1} sent in canonical order onto a 4-chain
+        # is increasing, but the inverse sends {p0} < {p1} to incomparables
+        instance = identity_instance(build_poset(["p0", "p1"], []))
+        line = chain(["c0", "c1", "c2", "c3"])
+        flattened = replace(
+            instance,
+            codomain=line,
+            codomain_completion=macneille_completion(line),
+            images=(0, 1, 2, 3),
+        )
+        assert global_character(flattened).order_isomorphism is False
