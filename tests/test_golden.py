@@ -1,0 +1,192 @@
+"""Golden output digests: byte-identical CLI output on a fixed corpus.
+
+Each test runs ``cli.main`` in-process over a fixed set of inputs and
+hashes, per run, a name for the run, the exit code, stdout and any
+side file.  One sha256 per command pins every byte those commands print, so
+a refactor that changes any output fails here.  Inputs are written from
+raw generator data and from the relation rows of the seeded equations,
+not through ``jsonio``, so they do not move with the code under test.
+
+A digest may only change together with a deliberate, documented output
+change.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from ordercomplete import cli
+from ordercomplete.generators import GeneratorSpec, describe, random_equation
+from ordercomplete.oracle import brute_cuts
+
+GOLDEN = {
+    "complete": "9bcf3048ced3f66ec2885ecf7e14a25e6d726896a2771def6956311d0046156b",
+    "export": "67f935047c642085643d4eec7a4084da72a80d9780ed90a3c0c334eef342ebea",
+    "solve": "f1422c7c26083e24f427cbcc578bb940de33045b8ffbccd188778e086edf11e1",
+    "gen": "81f00334a267080cb86be79baa99cd0ac2a987eaf0dc539f916a04f91d7f762d",
+}
+
+GEN_ARGS = [
+    ("--family", "chain", "--n", "5"),
+    ("--family", "antichain", "--n", "4"),
+    ("--family", "boolean", "--k", "3"),
+    ("--family", "divisor", "--m", "60"),
+    ("--family", "random", "--n", "8", "--density", "0.4", "--seed", "3"),
+    ("--family", "gridfn", "--g", "2", "--v", "3", "--stencil", "identity"),
+    ("--family", "gridfn", "--g", "2", "--v", "3", "--stencil", "dilate"),
+    ("--family", "gridfn", "--g", "3", "--v", "2", "--stencil", "erode"),
+]
+
+
+def _poset_data(labels, pairs, kind):
+    return {"elements": list(labels), "relation": [list(p) for p in pairs], "relation_kind": kind}
+
+
+def _standard(n):
+    """S_n: minimal a_i below maximal b_j whenever i != j."""
+    lows = [f"a{i}" for i in range(n)]
+    highs = [f"b{j}" for j in range(n)]
+    pairs = [(a, b) for i, a in enumerate(lows) for j, b in enumerate(highs) if i != j]
+    return _poset_data(lows + highs, pairs, "covers")
+
+
+def _family(**spec):
+    return _poset_data(*describe(GeneratorSpec(**spec)))
+
+
+def poset_corpus():
+    posets = [(f"S_{n}", _standard(n)) for n in (4, 5, 6)]
+    posets += [
+        ("boolean(3)", _family(family="boolean", k=3)),
+        ("divisor(60)", _family(family="divisor", m=60)),
+        ("chain(5)", _family(family="chain", n=5)),
+        ("antichain(4)", _family(family="antichain", n=4)),
+    ]
+    for seed in range(10):
+        density = (0.2, 0.4, 0.6)[seed % 3]
+        posets.append(
+            (f"random({seed})", _family(family="random", n=4 + seed, density=density, seed=seed))
+        )
+    return posets
+
+
+def _full_relation(poset):
+    return [
+        (poset.labels[i], poset.labels[j])
+        for i in range(poset.arity)
+        for j in range(poset.arity)
+        if (poset.up_masks[i] >> j) & 1
+    ]
+
+
+def equation_corpus():
+    """(seed, equation data, codomain) for random_equation seeds 0-49."""
+    out = []
+    for seed in range(50):
+        instance = random_equation(seed)
+        codomain = instance.codomain
+        data = {
+            "domain": {"elements": list(instance.domain.labels)},
+            "codomain": _poset_data(codomain.labels, _full_relation(codomain), "full"),
+            "map": {
+                name: codomain.labels[instance.t.assignment[i]]
+                for i, name in enumerate(instance.domain.labels)
+            },
+        }
+        out.append((seed, data, codomain))
+    return out
+
+
+def run_cli(argv):
+    """Exit code and stdout of one in-process ``cli.main`` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+class Digest:
+    def __init__(self):
+        self._hash = hashlib.sha256()
+
+    def add(self, name, code, stdout, side=""):
+        for part in (name, str(code), stdout, side):
+            self._hash.update(part.encode("utf-8") + b"\0")
+
+    def hexdigest(self):
+        return self._hash.hexdigest()
+
+
+def _write(path, data):
+    path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    return str(path)
+
+
+def digest_complete(tmp_path):
+    digest = Digest()
+    dot = tmp_path / "out.dot"
+    for name, data in poset_corpus():
+        path = _write(tmp_path / "poset.json", data)
+        code, stdout = run_cli(["complete", "--input", path, "--emit-dot", str(dot)])
+        digest.add(name, code, stdout, dot.read_text(encoding="utf-8"))
+        dot.unlink()
+    return digest.hexdigest()
+
+
+def digest_export(tmp_path):
+    digest = Digest()
+    for name, data in poset_corpus():
+        path = _write(tmp_path / "poset.json", data)
+        digest.add(name, *run_cli(["export", "--input", path]))
+    return digest.hexdigest()
+
+
+def digest_solve(tmp_path):
+    digest = Digest()
+    for seed, data, codomain in equation_corpus():
+        equation = _write(tmp_path / "equation.json", data)
+        for cut in brute_cuts(codomain):
+            target = _write(tmp_path / "target.json", {"cut": list(cut.names())})
+            code, stdout = run_cli(["solve", "--input", equation, "--target", target])
+            digest.add(f"{seed}:{cut.mask}", code, stdout)
+    return digest.hexdigest()
+
+
+def digest_gen(tmp_path):
+    digest = Digest()
+    for args in GEN_ARGS:
+        digest.add(" ".join(args), *run_cli(["gen", *args]))
+    return digest.hexdigest()
+
+
+DIGESTS = {
+    "complete": digest_complete,
+    "export": digest_export,
+    "solve": digest_solve,
+    "gen": digest_gen,
+}
+
+
+@pytest.mark.parametrize("command", list(DIGESTS))
+def test_golden_digest(command, tmp_path):
+    assert DIGESTS[command](tmp_path) == GOLDEN[command]
+
+
+def test_corpus_runs_succeed(tmp_path):
+    """The digests cover real output: complete and gen succeed, and solve
+    reaches both verdicts."""
+    for name, data in poset_corpus()[:3]:
+        path = _write(tmp_path / "poset.json", data)
+        assert run_cli(["complete", "--input", path])[0] == 0
+    codes = set()
+    for seed, data, codomain in equation_corpus()[:10]:
+        equation = _write(tmp_path / "equation.json", data)
+        for cut in brute_cuts(codomain):
+            target = _write(tmp_path / "target.json", {"cut": list(cut.names())})
+            codes.add(run_cli(["solve", "--input", equation, "--target", target])[0])
+    assert codes == {0, 1}
+    for args in GEN_ARGS:
+        assert run_cli(["gen", *args])[0] == 0
