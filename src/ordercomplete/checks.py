@@ -42,7 +42,7 @@ from .oracle import (
     brute_solve,
     brute_upper,
 )
-from .poset import Poset, Subset, build_poset, lower_bounds, upper_bounds
+from .poset import Poset, Subset, _submasks, build_poset, lower_bounds, upper_bounds
 from .solver import EquationInstance, global_character, solve
 
 EXHAUSTIVE_MASKS = 4096  # all subsets when 2^arity fits
@@ -274,15 +274,6 @@ def check_bound_calculus(name: str, poset: Poset, seed: int = 0) -> list[str]:
     return fails
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 # ------------------------------------------------- completion structure
 
 
@@ -374,8 +365,7 @@ def check_equation(name: str, instance: EquationInstance) -> list[str]:
     if not is_oie(instance.t_approx):
         fails.append(f"{name}: induced class map is not an OIE")
     qc = instance.quotient_completion
-    cc = instance.codomain_completion
-    for target in cc.cuts:
+    for target in instance.codomain_completion.cuts:
         report = solve(instance, target)
         reference = brute_solve(instance, target)
         if report.solvable != (reference is not None):
@@ -392,8 +382,8 @@ def check_equation(name: str, instance: EquationInstance) -> list[str]:
             fails.append(f"{name}: {target.label()} escapes inf of images")
         sup_lower = sup_cuts(qc, report.lower_family)
         inf_upper = inf_cuts(qc, report.upper_family)
-        img_sup = cc.cut_masks[instance.images[qc.index_of(sup_lower)]]
-        img_inf = cc.cut_masks[instance.images[qc.index_of(inf_upper)]]
+        img_sup = instance.images[qc.index_of(sup_lower)]
+        img_inf = instance.images[qc.index_of(inf_upper)]
         if report.sup_of_images.mask & ~img_sup:
             fails.append(f"{name}: inclusion chain broke at the lower end")
         if img_sup & ~img_inf:

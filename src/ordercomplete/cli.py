@@ -30,20 +30,23 @@ def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
     except RecursionError:
         raise InvalidInput(f"{path}: JSON is nested too deeply") from None
     except OSError as exc:
         raise InvalidInput(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise InvalidInput(f"{path}: not valid JSON: {exc}") from None
 
 
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise InvalidInput(f"{path}: {exc.strerror}") from None
 
 
 def _cmd_complete(args) -> int:
@@ -65,9 +68,10 @@ def _cmd_complete(args) -> int:
             "inf_side_empty": list(report.inf_side_empty),
         },
     }
-    _write(jsonio.dumps(payload), args.output)
+    # the side file goes first, so a failure to write it leaves stdout empty
     if args.emit_dot:
         _write(to_dot(completion), args.emit_dot)
+    _write(jsonio.dumps(payload), args.output)
     return EXIT_OK
 
 
@@ -129,23 +133,14 @@ def _cmd_gen(args) -> int:
     )
     data = describe(spec)
     if spec.family == "gridfn":
-        domain_labels, (labels, pairs, kind), mapping = data
+        domain_labels, codomain, mapping = data
         payload = {
             "domain": {"elements": list(domain_labels)},
-            "codomain": {
-                "elements": list(labels),
-                "relation": [list(p) for p in pairs],
-                "relation_kind": kind,
-            },
+            "codomain": jsonio.raw_poset_to_data(*codomain),
             "map": mapping,
         }
     else:
-        labels, pairs, kind = data
-        payload = {
-            "elements": list(labels),
-            "relation": [list(p) for p in pairs],
-            "relation_kind": kind,
-        }
+        payload = jsonio.raw_poset_to_data(*data)
     _write(jsonio.dumps(payload), args.output)
     return EXIT_OK
 

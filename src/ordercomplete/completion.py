@@ -119,10 +119,10 @@ class CompletedPoset:
                 raise InvalidCut("duplicate cut in completion")
             if before > after:
                 raise InvalidCut("completion cuts are not in canonical order")
-        for i in range(self.parent.arity):
-            principal = self.parent.down_masks[i]
-            if self.cut_masks[self.embedding[i]] != principal:
-                raise InvalidCut("embedding does not point at the principal cuts")
+        k = len(self.cut_masks)
+        pointed = tuple(self.cut_masks[e] if 0 <= e < k else None for e in self.embedding)
+        if pointed != self.parent.down_masks:
+            raise InvalidCut("embedding does not point at the principal cuts")
 
     @property
     def cut_count(self) -> int:
@@ -149,24 +149,8 @@ class CompletedPoset:
                 f"{cut_label(self.parent, cut.mask)} is not a cut of this completion"
             ) from None
 
-    def leq(self, i: int, j: int) -> bool:
-        """Inclusion order between cuts by index."""
-        return self.cut_masks[i] & ~self.cut_masks[j] == 0
-
     def cut_labels(self) -> tuple[str, ...]:
         return tuple(cut_label(self.parent, m) for m in self.cut_masks)
-
-    @cached_property
-    def as_poset(self) -> Poset:
-        """The cut lattice itself as a plain poset (labels are cut names)."""
-        rows = []
-        for i, a in enumerate(self.cut_masks):
-            row = 0
-            for j, b in enumerate(self.cut_masks):
-                if a & ~b == 0:
-                    row |= 1 << j
-            rows.append(row)
-        return Poset(self.cut_labels(), tuple(rows))
 
 
 def macneille_completion(poset: Poset, max_cuts: int = DEFAULT_MAX_CUTS) -> CompletedPoset:

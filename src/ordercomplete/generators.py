@@ -25,6 +25,7 @@ from .mapext import PosetMap
 from .solver import EquationInstance, build_equation
 
 ELEMENT_CAP = 4096
+DIVISOR_MAX_M = 10**12  # the divisor scan takes isqrt(m) steps before the element cap
 _LETTERS = "abcdefghijkl"
 STENCILS = ("identity", "dilate", "erode")
 
@@ -57,6 +58,13 @@ def _cap(count: int, what: str) -> None:
         raise ResourceCap(f"{what} would have {count} elements, cap is {ELEMENT_CAP}")
 
 
+def _cap_power(base: int, exponent: int, what: str) -> None:
+    """``_cap(base**exponent)`` for base >= 2, without building a huge power."""
+    if exponent >= ELEMENT_CAP.bit_length():  # then base**exponent > ELEMENT_CAP
+        raise ResourceCap(f"{what} would have {base}**{exponent} elements, cap is {ELEMENT_CAP}")
+    _cap(base**exponent, what)
+
+
 def chain_data(n: int) -> PosetData:
     _require(n >= 1, "chain needs n >= 1")
     _cap(n, "chain")
@@ -79,7 +87,7 @@ def _boolean_label(mask: int) -> str:
 
 def boolean_data(k: int) -> PosetData:
     _require(k >= 0, "boolean needs k >= 0")
-    _cap(1 << k, "boolean lattice")  # the cap also keeps k within the label alphabet
+    _cap_power(2, k, "boolean lattice")  # the cap also keeps k within the label alphabet
     labels = tuple(_boolean_label(mask) for mask in range(1 << k))
     pairs = []
     for mask in range(1 << k):
@@ -91,6 +99,8 @@ def boolean_data(k: int) -> PosetData:
 
 def divisor_data(m: int) -> PosetData:
     _require(m >= 1, "divisor needs m >= 1")
+    if m > DIVISOR_MAX_M:
+        raise ResourceCap(f"divisor needs m <= {DIVISOR_MAX_M}, got {m}")
     # divisors pair up as d and m // d with d <= sqrt(m)
     small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
     divisors = small + [m // d for d in reversed(small) if d * d != m]
@@ -135,7 +145,7 @@ def gridfn_data(g: int, v: int, stencil: str) -> EquationData:
     _require(g >= 1, "gridfn needs g >= 1")
     _require(2 <= v <= 10, "gridfn needs 2 <= v <= 10")
     _require(stencil in STENCILS, f"stencil must be one of {STENCILS}")
-    _cap(v**g, "grid function poset")
+    _cap_power(v, g, "grid function poset")
     points = list(itertools.product(range(v), repeat=g))
     labels = tuple(_grid_label(p) for p in points)
     pairs = []

@@ -10,11 +10,19 @@ byte-equal outputs.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 from .completion import CompletedPoset
 from .errors import SchemaError
-from .poset import CarrierSet, DEFAULT_MAX_ARITY, Parent, Poset, Subset, build_poset
+from .poset import (
+    CarrierSet,
+    DEFAULT_MAX_ARITY,
+    Parent,
+    Poset,
+    Subset,
+    _mask_members,
+    build_poset,
+)
 from .mapext import PosetMap
 from .solver import SolveReport
 
@@ -28,6 +36,10 @@ def dumps(data: Any) -> str:
 def _expect_list_of_strings(value: Any, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SchemaError(f"{where} must be an array of strings")
+    try:
+        "".join(value).encode("utf-8")  # reports print these names back
+    except UnicodeEncodeError:
+        raise SchemaError(f"{where} must not contain lone surrogates") from None
     return value
 
 
@@ -43,22 +55,26 @@ def cover_relation(poset: Poset) -> list[tuple[str, str]]:
     for i in range(poset.arity):
         strict_up = poset.up_masks[i] & ~(1 << i)
         reachable = 0
-        for j in range(poset.arity):
-            if (strict_up >> j) & 1:
-                reachable |= poset.up_masks[j] & ~(1 << j)
-        covers = strict_up & ~reachable
-        for j in range(poset.arity):
-            if (covers >> j) & 1:
-                pairs.append((poset.labels[i], poset.labels[j]))
+        for j in _mask_members(strict_up):
+            reachable |= poset.up_masks[j] & ~(1 << j)
+        for j in _mask_members(strict_up & ~reachable):
+            pairs.append((poset.labels[i], poset.labels[j]))
     return pairs
 
 
-def poset_to_data(poset: Poset) -> dict:
+def raw_poset_to_data(
+    labels: Sequence[str], pairs: Iterable[tuple[str, str]], kind: str
+) -> dict:
+    """The poset file format for unvalidated (labels, pairs, kind) data."""
     return {
-        "elements": list(poset.labels),
-        "relation": [list(p) for p in cover_relation(poset)],
-        "relation_kind": "covers",
+        "elements": list(labels),
+        "relation": [list(p) for p in pairs],
+        "relation_kind": kind,
     }
+
+
+def poset_to_data(poset: Poset) -> dict:
+    return raw_poset_to_data(poset.labels, cover_relation(poset), "covers")
 
 
 def poset_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> Poset:
@@ -183,16 +199,13 @@ def completed_to_data(completion: CompletedPoset) -> dict:
     return {
         "parent": poset_to_data(parent),
         "cuts": [
-            [parent.labels[i] for i in _bits(mask)] for mask in completion.cut_masks
+            [parent.labels[i] for i in _mask_members(mask)]
+            for mask in completion.cut_masks
         ],
         "embedding": {
             parent.labels[i]: completion.embedding[i] for i in range(parent.arity)
         },
     }
-
-
-def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
 def solve_report_to_data(report: SolveReport) -> dict:

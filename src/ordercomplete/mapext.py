@@ -30,7 +30,7 @@ from .errors import (
     SourceNotOrdered,
     UnknownElement,
 )
-from .poset import Parent, Poset, Subset, _mask_members
+from .poset import Parent, Poset, Subset, _mask_members, _submasks
 
 
 @dataclass(frozen=True)
@@ -187,12 +187,8 @@ def _iter_subset_pairs(n: int, limit: int, seed: int):
     """Pairs (small, big) with small <= big as masks; sampled past the limit."""
     if 3**n <= limit:
         for big in range(1 << n):
-            small = big
-            while True:
+            for small in _submasks(big):
                 yield small, big
-                if small == 0:
-                    break
-                small = (small - 1) & big
         return
     rng = random.Random(seed)
     full = (1 << n) - 1

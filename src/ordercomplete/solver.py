@@ -10,6 +10,9 @@ and the equation T#(A) = F becomes decidable:
 
 with the unique solution (the extension is injective on cuts) given by
 the sup of the lower family, equal to the inf of the upper family.
+Deciding it needs only the images of the quotient's cuts: their sup is
+the closure of their union and their inf their intersection, so the
+completion of Y is built only for checks that walk all of its cuts.
 
 Finite carriers often have minima and maxima, which the general theory
 deliberately excludes; in particular the lower family can be genuinely
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .completion import (
     CompletedPoset,
@@ -33,7 +35,7 @@ from .completion import (
     macneille_completion,
 )
 from .errors import InvalidCut, OrderCompletionError, ParentMismatch, UnknownElement
-from .mapext import ExtendedMap, PosetMap, apply_extension, extension_cut_map
+from .mapext import PosetMap
 from .poset import (
     CarrierSet,
     Poset,
@@ -75,20 +77,26 @@ class AssumptionFlags:
 
 @dataclass(frozen=True)
 class EquationInstance:
-    """A map T : X -> Y with its quotient, both completions and T# cached."""
+    """A map T : X -> Y with its quotient, the quotient's completion and T#.
+
+    ``images[i]`` is the codomain cut mask T# sends the quotient cut
+    ``quotient_completion.cut_masks[i]`` to.  Deciding and solving need
+    only these masks; the codomain completion is built on first use, by
+    the checks that walk every cut of Y, under the same ``max_cuts``.
+    """
 
     domain: CarrierSet
     codomain: Poset
     t: PosetMap
     quotient: QuotientPoset
     t_approx: PosetMap
-    codomain_completion: CompletedPoset
     quotient_completion: CompletedPoset
     images: tuple[int, ...]
+    max_cuts: int = DEFAULT_MAX_CUTS
 
     @cached_property
-    def extended(self) -> ExtendedMap:
-        return ExtendedMap(self.t_approx, self.codomain_completion)
+    def codomain_completion(self) -> CompletedPoset:
+        return macneille_completion(self.codomain, max_cuts=self.max_cuts)
 
     @cached_property
     def assumption_flags(self) -> AssumptionFlags:
@@ -98,7 +106,8 @@ class EquationInstance:
             codomain_has_minimum=has_minimum(self.codomain),
             codomain_has_maximum=has_maximum(self.codomain),
             empty_set_in_quotient_completion=self.quotient_completion.empty_set_is_cut,
-            empty_set_in_codomain_completion=self.codomain_completion.empty_set_is_cut,
+            # {}^ul = Y^l holds the minimum, so {} is a cut exactly without one
+            empty_set_in_codomain_completion=not has_minimum(self.codomain),
         )
 
 
@@ -108,7 +117,8 @@ def build_equation(
     t: PosetMap,
     max_cuts: int = DEFAULT_MAX_CUTS,
 ) -> EquationInstance:
-    """Group the fibers of T, pull back the order and complete both sides."""
+    """Group the fibers of T, pull back the order, complete the quotient
+    and map every quotient cut A to its image (T(A))^ul."""
     if t.source != domain or t.target != codomain:
         raise ParentMismatch("map does not go from the given domain to the codomain")
     if domain.arity == 0:
@@ -135,16 +145,15 @@ def build_equation(
     quotient = QuotientPoset(classes, representatives, order)
     t_approx = PosetMap(order, codomain, class_images)
 
-    codomain_completion = macneille_completion(codomain, max_cuts=max_cuts)
     quotient_completion = macneille_completion(order, max_cuts=max_cuts)
-    extended = ExtendedMap(t_approx, codomain_completion)
-    images = extension_cut_map(extended, quotient_completion)
+    images = tuple(
+        _closure_mask(codomain, t_approx.image_mask(mask))
+        for mask in quotient_completion.cut_masks
+    )
 
     # principal cuts must land on principal cuts of the class images
-    for i in range(order.arity):
-        got = images[quotient_completion.embedding[i]]
-        want = codomain_completion.embedding[class_images[i]]
-        if got != want:
+    for i, image in enumerate(class_images):
+        if images[quotient_completion.embedding[i]] != codomain.down_masks[image]:
             raise OrderCompletionError(
                 "extension broke on a principal cut; this is a bug"
             )
@@ -155,16 +164,16 @@ def build_equation(
         t=t,
         quotient=quotient,
         t_approx=t_approx,
-        codomain_completion=codomain_completion,
         quotient_completion=quotient_completion,
         images=images,
+        max_cuts=max_cuts,
     )
 
 
 def t_sharp(instance: EquationInstance, cut: Subset) -> Cut:
     """Extended map on a cut of the quotient completion."""
-    instance.quotient_completion.index_of(cut)  # membership + parent check
-    return apply_extension(instance.extended, cut)
+    index = instance.quotient_completion.index_of(cut)  # membership + parent check
+    return Cut(instance.codomain, instance.images[index])
 
 
 @dataclass(frozen=True)
@@ -201,17 +210,14 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
     f_mask = target.mask
 
     qc = instance.quotient_completion
-    cc = instance.codomain_completion
     order = qc.parent
     codomain = instance.codomain
     qmasks = qc.cut_masks
-    cmasks = cc.cut_masks
     lower: list[int] = []
     upper: list[int] = []
     union = 0
     meet = codomain.full_mask
-    for i, image_index in enumerate(instance.images):
-        image_mask = cmasks[image_index]
+    for i, image_mask in enumerate(instance.images):
         if image_mask & ~f_mask == 0:
             lower.append(i)
             union |= image_mask
@@ -237,8 +243,7 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
                 "this is a bug"
             )
         solution = Cut(order, from_lower)
-        applied = cmasks[instance.images[qc.index_of(solution)]]
-        if applied != f_mask:
+        if instance.images[qc.index_of(solution)] != f_mask:
             raise OrderCompletionError(
                 "constructed solution does not map onto the target; this is a bug"
             )
@@ -272,16 +277,12 @@ class GlobalReport:
         return self.covers_embedded_codomain == self.image_is_whole_completion
 
 
-def _increasing_on_covers(
-    source: CompletedPoset, index_map: Sequence[int], target: CompletedPoset
-) -> bool:
-    """Whether a cut index map keeps inclusion along every upper cover."""
-    index = source._mask_index
-    tmasks = target.cut_masks
-    for i, mask in enumerate(source.cut_masks):
-        image = tmasks[index_map[i]]
-        for upper in _upper_covers(source.parent, mask):
-            if image & ~tmasks[index_map[index[upper]]]:
+def _increasing_on_covers(poset: Poset, cut_map: dict[int, int]) -> bool:
+    """Whether a map given on every cut mask of ``poset`` keeps inclusion
+    along every upper cover of its cut lattice."""
+    for mask, image in cut_map.items():
+        for upper in _upper_covers(poset, mask):
+            if image & ~cut_map[upper]:
                 return False
     return True
 
@@ -294,7 +295,7 @@ def global_character(instance: EquationInstance) -> GlobalReport:
     cc = instance.codomain_completion
     image_set = set(instance.images)
 
-    covers_embedded = all(e in image_set for e in cc.embedding)
+    covers_embedded = image_set.issuperset(instance.codomain.down_masks)
     image_is_all = len(image_set) == cc.cut_count
 
     order_iso: bool | None = None
@@ -304,12 +305,11 @@ def global_character(instance: EquationInstance) -> GlobalReport:
         # their covers
         order_iso = len(instance.images) == cc.cut_count
         if order_iso:
-            inverse = [0] * cc.cut_count
-            for i, image_index in enumerate(instance.images):
-                inverse[image_index] = i
+            forward = dict(zip(qc.cut_masks, instance.images))
+            inverse = {image: mask for mask, image in forward.items()}
             order_iso = _increasing_on_covers(
-                qc, instance.images, cc
-            ) and _increasing_on_covers(cc, inverse, qc)
+                qc.parent, forward
+            ) and _increasing_on_covers(instance.codomain, inverse)
 
     return GlobalReport(
         covers_embedded_codomain=covers_embedded,

@@ -35,6 +35,13 @@ def constant_equation_file(tmp_path):
     return path
 
 
+def assert_one_error_line(result, code):
+    assert result.returncode == code
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
 def write_target(tmp_path, data, name="target.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -74,6 +81,26 @@ class TestComplete:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "Traceback" not in result.stderr
+
+    def test_non_utf8_file_exits_2(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"elements": ["\xe9"]}'.encode("latin-1"))
+        result = run("complete", "--input", str(path))
+        assert_one_error_line(result, 2)
+
+    def test_lone_surrogate_label_exits_2(self, tmp_path):
+        # valid JSON, but the name cannot be printed back as UTF-8
+        path = tmp_path / "surrogate.json"
+        path.write_text('{"elements": ["\\ud800"], "relation": [], "relation_kind": "covers"}')
+        result = run("export", "--input", str(path))
+        assert_one_error_line(result, 2)
+
+    @pytest.mark.parametrize("flag", ["--output", "--emit-dot"])
+    def test_unwritable_path_exits_2(self, chain_file, tmp_path, flag):
+        missing = tmp_path / "no-such-dir" / "out"
+        result = run("complete", "--input", str(chain_file), flag, str(missing))
+        assert_one_error_line(result, 2)
+        assert not missing.parent.exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         result = run("complete", "--input", str(tmp_path / "absent.json"))
@@ -185,6 +212,46 @@ class TestSolve:
             str(target),
         )
         assert result.returncode == 2
+
+    def test_codomain_beyond_cut_cap_still_solves(self, tmp_path):
+        # S_4 has 16 cuts; the three fibers onto a0, a1, a2 form an
+        # antichain whose completion has 5, so only the quotient fits
+        lows = [f"a{i}" for i in range(4)]
+        highs = [f"b{j}" for j in range(4)]
+        equation = tmp_path / "collapse.json"
+        equation.write_text(
+            json.dumps(
+                {
+                    "domain": {"elements": ["u", "v", "w", "x"]},
+                    "codomain": {
+                        "elements": lows + highs,
+                        "relation": [
+                            [a, b]
+                            for i, a in enumerate(lows)
+                            for j, b in enumerate(highs)
+                            if i != j
+                        ],
+                        "relation_kind": "covers",
+                    },
+                    "map": {"u": "a0", "v": "a1", "w": "a2", "x": "a0"},
+                }
+            )
+        )
+        cap = ("--max-cuts", "8")
+        expected = {"a1": ["v"], "b3": ["u", "v", "w"], "a3": None, "b0": None}
+        for principal, solution in expected.items():
+            target = write_target(tmp_path, {"principal": principal})
+            args = ("solve", "--input", str(equation), "--target", str(target))
+            capped = run(*args, *cap)
+            assert capped.returncode == (1 if solution is None else 0), capped.stderr
+            assert json.loads(capped.stdout)["solution"] == solution
+            # the report is the one an uncapped run gives
+            assert capped.stdout == run(*args).stdout
+        for suite in ("theorem41", "theorem42"):
+            checked = run("check", suite, "--input", str(equation), *cap)
+            assert_one_error_line(checked, 3)
+            assert "cut cap 8" in checked.stderr
+            assert run("check", suite, "--input", str(equation)).returncode == 0
 
     def test_report_to_file(self, constant_equation_file, tmp_path):
         target = write_target(tmp_path, {"principal": "p"})

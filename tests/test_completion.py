@@ -192,6 +192,16 @@ class TestEnumeration:
         with pytest.raises(InvalidCut, match="embedding"):
             CompletedPoset(p, c.cut_masks, tuple(reversed(c.embedding)))
 
+    @pytest.mark.parametrize(
+        "embedding", [(0, 1, 7), (0, 5), (0,), (-1, 1)], ids=["extra", "range", "short", "negative"]
+    )
+    def test_completion_constructor_rejects_bad_embedding_shape(self, embedding):
+        p = build_poset(["a", "b"], [("a", "b")])
+        c = macneille_completion(p)
+        assert c.embedding == (0, 1)
+        with pytest.raises(InvalidCut, match="embedding"):
+            CompletedPoset(p, c.cut_masks, embedding)
+
     @given(
         st.integers(0, 24).flatmap(
             lambda n: st.tuples(
@@ -363,10 +373,3 @@ class TestDotExport:
         text = to_dot(macneille_completion(p))
         assert text.count("peripheries=2") == 2
         assert '"{}"' in text
-
-    def test_as_poset_round_trip(self):
-        c = macneille_completion(diamond())
-        lattice = c.as_poset
-        assert lattice.arity == c.cut_count
-        assert lattice.leq(cut_label(c.parent, c.cut_masks[0]),
-                           cut_label(c.parent, c.cut_masks[-1]))

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from ordercomplete import cli
 from ordercomplete.completion import macneille_completion
 from ordercomplete.errors import BadSpec, ResourceCap
 from ordercomplete.generators import (
@@ -52,6 +53,23 @@ class TestFamilies:
         labels, _, _ = divisor_data(10**12)
         assert time.perf_counter() - start < 1.0
         assert len(labels) == 169 and labels[-1] == str(10**12)
+        with pytest.raises(ResourceCap):
+            divisor_data(10**12 + 1)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--family", "divisor", "--m", str(10**20)),
+            ("--family", "boolean", "--k", "100000"),
+            ("--family", "gridfn", "--g", "100000", "--v", "10"),
+            ("--family", "boolean", "--k", "13"),
+            ("--family", "gridfn", "--g", "4", "--v", "9"),
+        ],
+    )
+    def test_huge_instances_hit_cap_at_once(self, args):
+        start = time.perf_counter()
+        assert cli.main(["gen", *args]) == 3
+        assert time.perf_counter() - start < 1.0
 
     def test_divisor_of_two_primes_is_boolean_square(self):
         divisors = generate(GeneratorSpec("divisor", m=15))

@@ -3,11 +3,17 @@ from dataclasses import replace
 import pytest
 
 from ordercomplete.completion import embed, macneille_completion
-from ordercomplete.errors import InvalidCut, ParentMismatch, UnknownElement
+from ordercomplete.errors import InvalidCut, ParentMismatch, ResourceCap, UnknownElement
 from ordercomplete.generators import random_equation
-from ordercomplete.mapext import PosetMap, is_oie
-from ordercomplete.oracle import brute_solve
-from ordercomplete.poset import CarrierSet, build_poset
+from ordercomplete.mapext import (
+    ExtendedMap,
+    PosetMap,
+    apply_extension,
+    extension_cut_map,
+    is_oie,
+)
+from ordercomplete.oracle import brute_cuts, brute_solve
+from ordercomplete.poset import CarrierSet, Subset, build_poset
 from ordercomplete.solver import build_equation, global_character, solve, t_sharp
 
 
@@ -73,6 +79,42 @@ class TestQuotient:
         t = PosetMap(other, codomain, (0,))
         with pytest.raises(ParentMismatch):
             build_equation(CarrierSet(("u",)), codomain, t)
+
+
+class TestImages:
+    def test_images_are_the_extension_of_every_quotient_cut(self):
+        for seed in range(25):
+            instance = random_equation(seed)
+            qc = instance.quotient_completion
+            ext = ExtendedMap(instance.t_approx, instance.codomain_completion)
+            indices = extension_cut_map(ext, qc)
+            cmasks = instance.codomain_completion.cut_masks
+            assert instance.images == tuple(cmasks[i] for i in indices)
+            for mask, image in zip(qc.cut_masks, instance.images):
+                assert apply_extension(ext, Subset(qc.parent, mask)).mask == image
+
+    def test_solve_never_completes_the_codomain(self):
+        for seed in range(10):
+            instance = random_equation(seed)
+            for cut in brute_cuts(instance.codomain):
+                solve(instance, cut)
+            assert "codomain_completion" not in vars(instance)
+            assert instance.assumption_flags.empty_set_in_codomain_completion == (
+                instance.codomain_completion.empty_set_is_cut
+            )
+
+    def test_codomain_completion_keeps_the_cap(self):
+        codomain = build_poset([f"p{i}" for i in range(4)], [])
+        instance = build_equation(
+            CarrierSet(("u",)),
+            codomain,
+            PosetMap.from_names(CarrierSet(("u",)), codomain, {"u": "p0"}),
+            max_cuts=5,
+        )
+        assert instance.quotient_completion.cut_count == 1
+        assert solve(instance, codomain.subset(["p0"])).solvable
+        with pytest.raises(ResourceCap):
+            instance.codomain_completion
 
 
 class TestTSharp:
@@ -216,11 +258,10 @@ class TestGlobalCharacter:
 def _pair_scan_isomorphism(instance):
     """Reference: compare inclusion on every pair of quotient cuts."""
     qmasks = instance.quotient_completion.cut_masks
-    cmasks = instance.codomain_completion.cut_masks
     images = instance.images
     return all(
         (qmasks[i] & ~qmasks[j] == 0)
-        == (cmasks[images[i]] & ~cmasks[images[j]] == 0)
+        == (images[i] & ~images[j] == 0)
         for i in range(len(qmasks))
         for j in range(len(qmasks))
     )
@@ -261,7 +302,6 @@ class TestOrderIsomorphismOnCovers:
         flattened = replace(
             instance,
             codomain=line,
-            codomain_completion=macneille_completion(line),
-            images=(0, 1, 2, 3),
+            images=macneille_completion(line).cut_masks,
         )
         assert global_character(flattened).order_isomorphism is False
