@@ -47,15 +47,14 @@ from .completion import (
     verify_macneille,
 )
 from .mapext import (
-    ExtendedMap,
     BoundChainReport,
     PosetMap,
     ExtensionLawsReport,
     apply_extension,
     check_bound_chain,
     check_extension_laws,
-    extend,
     extension_cut_map,
+    extension_mask,
     is_increasing,
     is_oie,
 )

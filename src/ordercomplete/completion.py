@@ -255,7 +255,6 @@ def _iter_index_families(
 def verify_macneille(
     completion: CompletedPoset,
     family_limit: int = 4096,
-    sample_seed: int = 0,
 ) -> MacNeilleReport:
     """Check completeness, the embedding and order density of a completion.
 
@@ -303,7 +302,7 @@ def verify_macneille(
                     f"embedding does not reflect order on "
                     f"{poset.labels[i]!r}, {poset.labels[j]!r}"
                 )
-    for indices in _iter_index_families(poset.arity, family_limit, sample_seed + 1):
+    for indices in _iter_index_families(poset.arity, family_limit, 1):
         subset_mask = 0
         union = 0
         meet = poset.full_mask
@@ -381,6 +380,16 @@ def _upper_covers(poset: Poset, mask: int) -> list[int]:
         else:
             covers.append(closed)
     return covers
+
+
+def _first_decrease(poset: Poset, cut_map: dict[int, int]) -> tuple[int, int] | None:
+    """First cover (C, D) of the cut lattice of ``poset`` along which a map
+    given on every cut mask does not keep inclusion, or None."""
+    for mask, image in cut_map.items():
+        for upper in _upper_covers(poset, mask):
+            if image & ~cut_map[upper]:
+                return mask, upper
+    return None
 
 
 def to_dot(completion: CompletedPoset) -> str:

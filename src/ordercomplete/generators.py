@@ -203,12 +203,10 @@ def generate(spec: GeneratorSpec) -> Union[Poset, EquationInstance]:
     return build_poset(labels, pairs, kind, max_arity=ELEMENT_CAP)
 
 
-def random_equation(
-    seed: int, max_domain: int = 6, max_codomain: int = 6
-) -> EquationInstance:
+def random_equation(seed: int) -> EquationInstance:
     """A seeded equation instance: random codomain poset, random map into it."""
     rng = random.Random(seed)
-    ny = rng.randint(2, max_codomain)
+    ny = rng.randint(2, 6)
     density = rng.uniform(0.1, 0.7)
     ylabels = tuple(f"y{i}" for i in range(ny))
     pairs = []
@@ -217,7 +215,7 @@ def random_equation(
             if rng.random() < density:
                 pairs.append((ylabels[i], ylabels[j]))
     codomain = build_poset(ylabels, pairs, "covers")
-    nx = rng.randint(1, max_domain)
+    nx = rng.randint(1, 6)
     domain = CarrierSet(tuple(f"x{i}" for i in range(nx)))
     mapping = {name: ylabels[rng.randrange(ny)] for name in domain.labels}
     t = PosetMap.from_names(domain, codomain, mapping)

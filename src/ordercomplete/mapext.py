@@ -1,22 +1,26 @@
 """Maps between carriers and their extension to completions.
 
 Any map f : X -> Y extends to the whole power set of X by sending
-A to (f(A))^ul, a cut of the target.  The extension is always monotone
-for inclusion; when f is increasing it commutes with the element
-embeddings on principal cuts, and when f is an order isomorphic
-embedding (OIE) its restriction to the cuts of X is again an OIE.
+A to (f(A))^ul, a cut of the target, held as a target cut mask:
+``extension_mask`` for one subset, ``extension_cut_map`` for every cut
+of a source completion, the form ``check_bound_chain`` takes.  Nothing
+here completes the target.  The extension is always monotone for
+inclusion; when f is increasing it commutes with the element embeddings
+on principal cuts, and when f is an order isomorphic embedding (OIE)
+its restriction to the cuts of X is again an OIE.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .completion import (
     CompletedPoset,
     Cut,
     _closure_mask,
+    _first_decrease,
     cut_label,
     inf_cuts,
     macneille_completion,
@@ -68,43 +72,20 @@ class PosetMap:
     def apply(self, label: str) -> str:
         return self.target.labels[self.assignment[self.source.index(label)]]
 
-    def image_mask(self, source_mask: int) -> int:
-        out = 0
-        for i in _mask_members(source_mask):
-            out |= 1 << self.assignment[i]
-        return out
+
+def extension_mask(phi: PosetMap, mask: int) -> int:
+    """Target cut mask the extension sends a source subset mask to: (f(A))^ul."""
+    image = 0
+    for i in _mask_members(mask):
+        image |= 1 << phi.assignment[i]
+    return _closure_mask(phi.target, image)
 
 
-@dataclass(frozen=True)
-class ExtendedMap:
-    """A map together with the completion of its target.
-
-    Applying it to any source subset yields a cut of the target.
-    """
-
-    base: PosetMap
-    target_completion: CompletedPoset
-
-    def __post_init__(self) -> None:
-        if self.target_completion.parent != self.base.target:
-            raise ParentMismatch("completion does not complete the map's target")
-
-
-def extend(base: PosetMap, max_cuts: int | None = None) -> ExtendedMap:
-    """Convenience: complete the target and wrap the map."""
-    if max_cuts is None:
-        completion = macneille_completion(base.target)
-    else:
-        completion = macneille_completion(base.target, max_cuts=max_cuts)
-    return ExtendedMap(base, completion)
-
-
-def apply_extension(ext: ExtendedMap, subset: Subset) -> Cut:
-    """Image of a source subset under the extension: (f(A))^ul."""
-    if subset.parent != ext.base.source:
+def apply_extension(phi: PosetMap, subset: Subset) -> Cut:
+    """Image of a source subset under the extension, as a cut of the target."""
+    if subset.parent != phi.source:
         raise ParentMismatch("subset does not belong to the map's source")
-    target = ext.base.target
-    return Cut(target, _closure_mask(target, ext.base.image_mask(subset.mask)))
+    return Cut(phi.target, extension_mask(phi, subset.mask))
 
 
 def _require_ordered(phi: PosetMap) -> Poset:
@@ -140,23 +121,12 @@ def is_oie(phi: PosetMap) -> bool:
 
 
 def extension_cut_map(
-    ext: ExtendedMap, source_completion: CompletedPoset
+    phi: PosetMap, source_completion: CompletedPoset
 ) -> tuple[int, ...]:
-    """Index map: cut of the source completion -> cut of the target completion."""
-    if source_completion.parent != ext.base.source:
+    """Target cut mask of the image of every cut of the source completion."""
+    if source_completion.parent != phi.source:
         raise ParentMismatch("completion does not complete the map's source")
-    target = ext.base.target
-    lookup = ext.target_completion._mask_index
-    out = []
-    for mask in source_completion.cut_masks:
-        image = _closure_mask(target, ext.base.image_mask(mask))
-        try:
-            out.append(lookup[image])
-        except KeyError:
-            raise InvalidCut(
-                "target completion is missing an image cut; was it enumerated fully?"
-            ) from None
-    return tuple(out)
+    return tuple(extension_mask(phi, mask) for mask in source_completion.cut_masks)
 
 
 @dataclass(frozen=True)
@@ -183,34 +153,34 @@ class ExtensionLawsReport:
         )
 
 
-def _iter_subset_pairs(n: int, limit: int, seed: int):
+LAWS_LIMIT = 4096  # subset or cut pairs checked before a seeded sample takes over
+
+
+def _iter_subset_pairs(n: int):
     """Pairs (small, big) with small <= big as masks; sampled past the limit."""
-    if 3**n <= limit:
+    if 3**n <= LAWS_LIMIT:
         for big in range(1 << n):
             for small in _submasks(big):
                 yield small, big
         return
-    rng = random.Random(seed)
+    rng = random.Random(0)
     full = (1 << n) - 1
-    for _ in range(limit):
+    for _ in range(LAWS_LIMIT):
         big = rng.randint(0, full)
         small = big & rng.randint(0, full)
         yield small, big
 
 
-def check_extension_laws(phi: PosetMap, limit: int = 4096, seed: int = 0) -> ExtensionLawsReport:
+def check_extension_laws(phi: PosetMap) -> ExtensionLawsReport:
     """Verify the extension of a map behaves as the theory promises."""
-    ext = extend(phi)
     target = phi.target
     n = phi.source.arity
     failures: list[str] = []
-    exhaustive = 3**n <= limit
+    exhaustive = 3**n <= LAWS_LIMIT
 
     monotone = True
-    for small, big in _iter_subset_pairs(n, limit, seed):
-        a = _closure_mask(target, phi.image_mask(small))
-        b = _closure_mask(target, phi.image_mask(big))
-        if a & ~b:
+    for small, big in _iter_subset_pairs(n):
+        if extension_mask(phi, small) & ~extension_mask(phi, big):
             monotone = False
             failures.append(
                 f"extension not monotone on masks {small:#x} <= {big:#x}"
@@ -224,7 +194,7 @@ def check_extension_laws(phi: PosetMap, limit: int = 4096, seed: int = 0) -> Ext
         if is_increasing(phi):
             principal_commutes = True
             for i in range(source.arity):
-                image = _closure_mask(target, phi.image_mask(source.down_masks[i]))
+                image = extension_mask(phi, source.down_masks[i])
                 expected = target.down_masks[phi.assignment[i]]
                 if image != expected:
                     principal_commutes = False
@@ -235,19 +205,18 @@ def check_extension_laws(phi: PosetMap, limit: int = 4096, seed: int = 0) -> Ext
         if is_oie(phi):
             oie_on_cuts = True
             source_completion = macneille_completion(source)
-            images = extension_cut_map(ext, source_completion)
+            images = extension_cut_map(phi, source_completion)
             cmasks = source_completion.cut_masks
-            tmasks = ext.target_completion.cut_masks
             k = len(cmasks)
-            if k * k <= limit:
+            if k * k <= LAWS_LIMIT:
                 pairs = ((i, j) for i in range(k) for j in range(k))
             else:
-                rng = random.Random(seed + 1)
-                pairs = ((rng.randrange(k), rng.randrange(k)) for _ in range(limit))
+                rng = random.Random(1)
+                pairs = ((rng.randrange(k), rng.randrange(k)) for _ in range(LAWS_LIMIT))
                 exhaustive = False
             for i, j in pairs:
                 lhs = cmasks[i] & ~cmasks[j] == 0
-                rhs = tmasks[images[i]] & ~tmasks[images[j]] == 0
+                rhs = images[i] & ~images[j] == 0
                 if lhs != rhs:
                     oie_on_cuts = False
                     failures.append(
@@ -263,31 +232,6 @@ def check_extension_laws(phi: PosetMap, limit: int = 4096, seed: int = 0) -> Ext
         exhaustive=exhaustive,
         failures=tuple(failures[:8]),
     )
-
-
-CutMap = Union[Mapping[int, int], Callable[[Cut], Cut], Sequence[int]]
-
-
-def _normalize_cut_map(
-    source: CompletedPoset, target: CompletedPoset, mu: CutMap
-) -> tuple[int, ...]:
-    k = source.cut_count
-    if callable(mu):
-        out = []
-        for cut in source.cuts:
-            image = mu(cut)
-            out.append(target.index_of(image))
-        return tuple(out)
-    if isinstance(mu, Mapping):
-        images = [mu[i] for i in range(k)]
-    else:
-        images = list(mu)
-        if len(images) != k:
-            raise UnknownElement("cut map must cover every cut of the source")
-    for i in images:
-        if not 0 <= i < target.cut_count:
-            raise UnknownElement(f"cut index {i} out of target completion range")
-    return tuple(images)
 
 
 @dataclass(frozen=True)
@@ -309,37 +253,47 @@ class BoundChainReport:
 
 def check_bound_chain(
     source: CompletedPoset,
-    target: CompletedPoset,
-    mu: CutMap,
+    target_poset: Poset,
+    mu_masks: Sequence[int],
     family: Sequence[Subset],
 ) -> BoundChainReport:
     """Check mu(inf E) <= inf mu(E) <= sup mu(E) <= mu(sup E).
 
-    ``mu`` must be increasing between the two cut lattices (checked over
-    all cut pairs) and ``family`` nonvoid.
+    ``mu_masks[i]`` is the target cut mask mu sends ``source.cut_masks[i]``
+    to; ``source`` must list every cut and ``family`` be nonvoid.  mu must
+    be increasing, checked along the covers of the source cut lattice,
+    whose transitive closure is inclusion.
     """
-    images = _normalize_cut_map(source, target, mu)
-    smasks = source.cut_masks
-    tmasks = target.cut_masks
-    k = len(smasks)
-    for i in range(k):
-        for j in range(k):
-            if smasks[i] & ~smasks[j] == 0:
-                if tmasks[images[i]] & ~tmasks[images[j]]:
-                    raise NotIncreasing(
-                        f"map decreases on {cut_label(source.parent, smasks[i])} "
-                        f"<= {cut_label(source.parent, smasks[j])}"
-                    )
+    if len(mu_masks) != source.cut_count:
+        raise UnknownElement("cut map must give an image for every cut of the source")
+    cuts = tuple(Cut(target_poset, mask) for mask in mu_masks)
+    images = dict(zip(source.cut_masks, mu_masks))
+    poset = source.parent
+    try:
+        decrease = _first_decrease(poset, images)
+    except KeyError as missing:
+        raise InvalidCut(
+            f"source completion misses the cut {cut_label(poset, missing.args[0])}"
+        ) from None
+    if decrease is not None:
+        raise NotIncreasing(
+            f"map decreases on {cut_label(poset, decrease[0])} "
+            f"<= {cut_label(poset, decrease[1])}"
+        )
     if not family:
         raise EmptyFamily("the bound chain needs a nonvoid family")
 
     inf_e = inf_cuts(source, family)
     sup_e = sup_cuts(source, family)
-    image_cuts = [target.cuts[images[source.index_of(c)]] for c in family]
-    inf_img = inf_cuts(target, image_cuts)
-    sup_img = sup_cuts(target, image_cuts)
-    mu_inf = target.cuts[images[source.index_of(inf_e)]]
-    mu_sup = target.cuts[images[source.index_of(sup_e)]]
+    union = 0
+    meet = target_poset.full_mask
+    for member in family:
+        union |= images[member.mask]
+        meet &= images[member.mask]
+    inf_img = Cut(target_poset, meet)
+    sup_img = Cut(target_poset, _closure_mask(target_poset, union))
+    mu_inf = cuts[source.index_of(inf_e)]
+    mu_sup = cuts[source.index_of(sup_e)]
 
     return BoundChainReport(
         mu_of_inf=mu_inf,

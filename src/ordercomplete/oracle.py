@@ -1,10 +1,13 @@
 """Naive reference implementations for cross-checking the fast paths.
 
 Everything here enumerates, rescans and recomputes from the raw
-definitions on purpose; the only thing shared with the fast paths is the
-Poset value type (its relation rows are read directly, its derived
-operators are never called).  Used by the test suite and the `check`
-command, never by the production operations.
+definitions on purpose.  What it shares with the fast paths: the Poset
+value type, whose relation rows are read directly and whose derived
+operators are never called, and the return containers ``Subset`` and
+``Cut``.  Constructing a ``Cut`` validates it with the fast closure
+kernel, so a result the two sides disagree on raises instead of
+passing.  Used by the test suite and the `check` command, never by the
+production operations.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def brute_cuts(poset: Poset, max_arity: int = BRUTE_MAX_ARITY) -> list[Subset]:
     for mask in range(1 << n):
         if brute_closure(poset, mask) == mask:
             out.append(Subset(poset, mask))
-    out.sort(key=lambda s: (len(s), s.members()))
+    out.sort(key=lambda s: (len(_members(s.mask)), _members(s.mask)))
     return out
 
 
@@ -132,7 +135,7 @@ def _brute_image_table(instance: EquationInstance) -> tuple[tuple[int, int], ...
     pairs = []
     for cut in brute_cuts(order):
         image = 0
-        for i in cut.members():
+        for i in _members(cut.mask):
             image |= 1 << assignment[i]
         pairs.append((cut.mask, brute_closure(codomain, image)))
     table = _image_tables[instance] = tuple(pairs)

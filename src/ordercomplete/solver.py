@@ -30,12 +30,12 @@ from .completion import (
     CompletedPoset,
     Cut,
     DEFAULT_MAX_CUTS,
-    _upper_covers,
+    _first_decrease,
     is_cut,
     macneille_completion,
 )
 from .errors import InvalidCut, OrderCompletionError, ParentMismatch, UnknownElement
-from .mapext import PosetMap
+from .mapext import PosetMap, extension_cut_map
 from .poset import (
     CarrierSet,
     Poset,
@@ -146,10 +146,7 @@ def build_equation(
     t_approx = PosetMap(order, codomain, class_images)
 
     quotient_completion = macneille_completion(order, max_cuts=max_cuts)
-    images = tuple(
-        _closure_mask(codomain, t_approx.image_mask(mask))
-        for mask in quotient_completion.cut_masks
-    )
+    images = extension_cut_map(t_approx, quotient_completion)
 
     # principal cuts must land on principal cuts of the class images
     for i, image in enumerate(class_images):
@@ -277,16 +274,6 @@ class GlobalReport:
         return self.covers_embedded_codomain == self.image_is_whole_completion
 
 
-def _increasing_on_covers(poset: Poset, cut_map: dict[int, int]) -> bool:
-    """Whether a map given on every cut mask of ``poset`` keeps inclusion
-    along every upper cover of its cut lattice."""
-    for mask, image in cut_map.items():
-        for upper in _upper_covers(poset, mask):
-            if image & ~cut_map[upper]:
-                return False
-    return True
-
-
 def global_character(instance: EquationInstance) -> GlobalReport:
     """Check whether every embedded codomain element (equivalently, every
     cut of the codomain completion) is hit by T#, and when the image is
@@ -307,9 +294,10 @@ def global_character(instance: EquationInstance) -> GlobalReport:
         if order_iso:
             forward = dict(zip(qc.cut_masks, instance.images))
             inverse = {image: mask for mask, image in forward.items()}
-            order_iso = _increasing_on_covers(
-                qc.parent, forward
-            ) and _increasing_on_covers(instance.codomain, inverse)
+            order_iso = (
+                _first_decrease(qc.parent, forward) is None
+                and _first_decrease(instance.codomain, inverse) is None
+            )
 
     return GlobalReport(
         covers_embedded_codomain=covers_embedded,

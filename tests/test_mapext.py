@@ -1,22 +1,28 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordercomplete.completion import cut_closure, embed, macneille_completion
+from ordercomplete.completion import (
+    CompletedPoset,
+    cut_closure,
+    embed,
+    macneille_completion,
+)
 from ordercomplete.errors import (
     EmptyFamily,
+    InvalidCut,
     NotIncreasing,
     ParentMismatch,
     SourceNotOrdered,
     UnknownElement,
 )
 from ordercomplete.mapext import (
-    ExtendedMap,
     PosetMap,
     apply_extension,
     check_bound_chain,
     check_extension_laws,
-    extend,
     extension_cut_map,
     is_increasing,
     is_oie,
@@ -66,39 +72,39 @@ class TestPosetMap:
 class TestApplyExtension:
     def test_singleton_lands_on_principal(self):
         p, target = antichain2(), chain3()
-        phi = extend(PosetMap.from_names(p, target, {"p": "a", "q": "c"}))
+        phi = PosetMap.from_names(p, target, {"p": "a", "q": "c"})
         for x in p.labels:
             got = apply_extension(phi, p.subset([x]))
-            assert got == embed(target, phi.base.apply(x))
+            assert got == embed(target, phi.apply(x))
 
     def test_empty_subset_gives_least_cut(self):
         p, target = antichain2(), chain3()
-        phi = extend(PosetMap.from_names(p, target, {"p": "a", "q": "c"}))
+        phi = PosetMap.from_names(p, target, {"p": "a", "q": "c"})
         assert apply_extension(phi, p.subset([])) == cut_closure(
             target, target.subset([])
         )
 
     def test_identity_on_chain_closes_subsets(self):
         p = chain3()
-        phi = extend(identity_map(p))
+        phi = identity_map(p)
         assert apply_extension(phi, p.subset(["b"])).names() == ("a", "b")
 
     def test_carrier_set_source(self):
         carrier = CarrierSet(("u", "v"))
         target = antichain2()
-        phi = extend(PosetMap.from_names(carrier, target, {"u": "p", "v": "q"}))
+        phi = PosetMap.from_names(carrier, target, {"u": "p", "v": "q"})
         got = apply_extension(phi, Subset(carrier, 0b11))
         assert got.mask == target.full_mask
 
     def test_parent_mismatch(self):
         p = chain3()
-        phi = extend(identity_map(p))
+        phi = identity_map(p)
         with pytest.raises(ParentMismatch):
             apply_extension(phi, antichain2().subset(["p"]))
 
     @given(posets(max_n=4), st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1))
     def test_monotone_for_inclusion(self, poset, a, b):
-        phi = extend(identity_map(poset))
+        phi = identity_map(poset)
         small = Subset(poset, a & b & poset.full_mask)
         big = Subset(poset, b & poset.full_mask)
         assert apply_extension(phi, small).mask & ~apply_extension(phi, big).mask == 0
@@ -178,12 +184,24 @@ class TestExtensionLaws:
         assert report.principal_commutes is True and report.oie_on_cuts is True
 
 
+class TestExtensionCutMap:
+    def test_images_are_target_cut_masks(self):
+        p = chain3()
+        c = macneille_completion(p)
+        assert extension_cut_map(identity_map(p), c) == c.cut_masks
+
+    def test_completion_of_another_poset_rejected(self):
+        with pytest.raises(ParentMismatch):
+            extension_cut_map(identity_map(chain3()), macneille_completion(antichain2()))
+
+
 class TestLemmaChain:
     def test_identity_map_collapses_to_equalities(self):
-        c = macneille_completion(chain3())
-        mu = tuple(range(c.cut_count))
+        p = chain3()
+        c = macneille_completion(p)
+        mu = c.cut_masks
         family = [c.cuts[0], c.cuts[2]]
-        report = check_bound_chain(c, c, mu, family)
+        report = check_bound_chain(c, p, mu, family)
         assert report.chain_holds
         assert report.mu_of_inf == report.inf_of_images
         assert report.mu_of_sup == report.sup_of_images
@@ -196,10 +214,9 @@ class TestLemmaChain:
         phi = PosetMap.from_names(source_poset, target_poset, {"p": "p", "q": "q"})
         assert is_oie(phi)
         source = macneille_completion(source_poset)
-        target = macneille_completion(target_poset)
-        mu = extension_cut_map(ExtendedMap(phi, target), source)
+        mu = extension_cut_map(phi, source)
         family = [embed(source_poset, "p"), embed(source_poset, "q")]
-        report = check_bound_chain(source, target, mu, family)
+        report = check_bound_chain(source, target_poset, mu, family)
         assert report.chain_holds
 
     def test_collapsing_map_makes_first_inequality_strict(self):
@@ -207,10 +224,9 @@ class TestLemmaChain:
         target_poset = antichain2()
         phi = PosetMap.from_names(source_poset, target_poset, {"p": "p", "q": "p"})
         source = macneille_completion(source_poset)
-        target = macneille_completion(target_poset)
-        mu = extension_cut_map(ExtendedMap(phi, target), source)
+        mu = extension_cut_map(phi, source)
         family = [embed(source_poset, "p"), embed(source_poset, "q")]
-        report = check_bound_chain(source, target, mu, family)
+        report = check_bound_chain(source, target_poset, mu, family)
         assert report.chain_holds
         # inf of the family is the empty cut, whose image stays empty,
         # while both images share p below them
@@ -218,27 +234,76 @@ class TestLemmaChain:
         assert report.inf_of_images.names() == ("p",)
 
     def test_constant_map_collapses_inner_inequality(self):
-        c = macneille_completion(chain3())
-        mu = tuple(1 for _ in range(c.cut_count))
+        p = chain3()
+        c = macneille_completion(p)
+        mu = tuple(c.cut_masks[1] for _ in range(c.cut_count))
         family = list(c.cuts)
-        report = check_bound_chain(c, c, mu, family)
+        report = check_bound_chain(c, p, mu, family)
         assert report.chain_holds
         assert report.inf_of_images == report.sup_of_images
 
     def test_decreasing_map_rejected(self):
-        c = macneille_completion(chain3())
-        mu = tuple(reversed(range(c.cut_count)))
-        with pytest.raises(NotIncreasing):
-            check_bound_chain(c, c, mu, [c.cuts[0]])
-
-    def test_empty_family_rejected(self):
-        c = macneille_completion(chain3())
-        mu = tuple(range(c.cut_count))
-        with pytest.raises(EmptyFamily):
-            check_bound_chain(c, c, mu, [])
-
-    def test_callable_map_accepted(self):
         p = chain3()
         c = macneille_completion(p)
-        report = check_bound_chain(c, c, lambda cut: cut, [c.cuts[1]])
-        assert report.chain_holds
+        mu = tuple(reversed(c.cut_masks))
+        with pytest.raises(NotIncreasing):
+            check_bound_chain(c, p, mu, [c.cuts[0]])
+
+    def test_empty_family_rejected(self):
+        p = chain3()
+        c = macneille_completion(p)
+        with pytest.raises(EmptyFamily):
+            check_bound_chain(c, p, c.cut_masks, [])
+
+    def test_wrong_length_rejected(self):
+        p = chain3()
+        c = macneille_completion(p)
+        with pytest.raises(UnknownElement):
+            check_bound_chain(c, p, c.cut_masks[:-1], [c.cuts[0]])
+
+    def test_non_cut_image_rejected(self):
+        p = chain3()
+        c = macneille_completion(p)
+        mu = (p.subset(["b"]).mask,) + c.cut_masks[1:]
+        with pytest.raises(InvalidCut):
+            check_bound_chain(c, p, mu, [c.cuts[0]])
+
+    def test_incomplete_source_completion_rejected(self):
+        p = antichain2()
+        full = macneille_completion(p)
+        # {}, {p}, {q} without the top {p,q}; the embedding still holds
+        masks = full.cut_masks[:-1]
+        partial = CompletedPoset(p, masks, full.embedding)
+        with pytest.raises(InvalidCut):
+            check_bound_chain(partial, p, masks, [partial.cuts[0]])
+
+    def test_increasing_verdict_matches_pair_scan(self):
+        rng = random.Random(7)
+        diamond = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+        verdicts = set()
+        for _ in range(60):
+            pairs = [pair for pair in diamond if rng.random() < 0.6]
+            source_poset = build_poset(["a", "b", "c", "d"], pairs)
+            target_pairs = [("p", "q")] if rng.random() < 0.5 else []
+            target_poset = build_poset(["p", "q", "r"], target_pairs)
+            source = macneille_completion(source_poset)
+            tmasks = macneille_completion(target_poset).cut_masks
+            smasks = source.cut_masks
+            mu = [rng.choice(tmasks) for _ in smasks]
+            if rng.random() < 0.5:
+                # images sorted by size along the canonical order
+                mu.sort(key=lambda m: m.bit_count())
+            increasing = all(
+                mu[i] & ~mu[j] == 0
+                for i in range(len(smasks))
+                for j in range(len(smasks))
+                if smasks[i] & ~smasks[j] == 0
+            )
+            verdicts.add(increasing)
+            try:
+                check_bound_chain(source, target_poset, tuple(mu), [source.cuts[0]])
+                got = True
+            except NotIncreasing:
+                got = False
+            assert got == increasing
+        assert verdicts == {True, False}
