@@ -24,21 +24,15 @@ from .poset import (
     Poset,
     Subset,
     build_poset,
-    down_set,
     has_maximum,
     has_minimum,
     lower_bounds,
-    maximals,
-    minimals,
-    up_set,
     upper_bounds,
 )
 from .completion import (
     CompletedPoset,
     Cut,
     MacNeilleReport,
-    cut_closure,
-    embed,
     inf_cuts,
     is_cut,
     macneille_completion,
@@ -49,10 +43,7 @@ from .completion import (
 from .mapext import (
     BoundChainReport,
     PosetMap,
-    ExtensionLawsReport,
-    apply_extension,
     check_bound_chain,
-    check_extension_laws,
     extension_cut_map,
     extension_mask,
     is_increasing,
@@ -67,7 +58,6 @@ from .solver import (
     build_equation,
     global_character,
     solve,
-    t_sharp,
 )
 from .generators import GeneratorSpec, generate, random_equation
 

@@ -1,6 +1,9 @@
 """Verification suites: operator identities, completion structure,
 closed-form sizes, the solvability criterion against exhaustive search,
-the global surjectivity characterization and the bound chain.
+the global surjectivity characterization, and the bound chain with the
+laws of the extension of a map: monotone always, commuting with the
+element embeddings when the map is increasing, and an order isomorphic
+embedding on the cuts when the map is one.
 
 Each check returns a list of failure strings (empty means pass) so that
 both the `check` command and the test suite can share them.  Subset- and
@@ -19,22 +22,25 @@ no minimum (no maximum), which the reports surface separately.
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Iterable
 
 from .completion import (
+    EXHAUSTIVE_MASKS,
     CompletedPoset,
     _closure_mask,
     _iter_index_families,
     _lower_mask,
     _upper_mask,
+    cut_label,
     inf_cuts,
     macneille_completion,
     sup_cuts,
     verify_macneille,
 )
-from .errors import UnknownSuite
+from .errors import NotIncreasing, UnknownSuite
 from .generators import GeneratorSpec, generate, random_equation
-from .mapext import PosetMap, check_bound_chain, extension_cut_map, is_oie
+from .mapext import PosetMap, check_bound_chain, extension_cut_map, is_increasing, is_oie
 from .oracle import (
     brute_bound,
     brute_cuts,
@@ -45,7 +51,6 @@ from .oracle import (
 from .poset import Poset, Subset, _submasks, build_poset, lower_bounds, upper_bounds
 from .solver import EquationInstance, global_character, solve
 
-EXHAUSTIVE_MASKS = 4096  # all subsets when 2^arity fits
 EXHAUSTIVE_PAIRS = 19683  # all subset pairs when 3^arity fits
 FAMILY_SAMPLE = 256
 
@@ -246,7 +251,7 @@ def check_bound_calculus(name: str, poset: Poset) -> list[str]:
 
     # family sup and inf in the cut lattice
     k = len(cuts)
-    for indices in _iter_index_families(k, EXHAUSTIVE_MASKS, 2, FAMILY_SAMPLE):
+    for indices in _iter_index_families(k, 2, FAMILY_SAMPLE):
         union = 0
         meet = full
         for i in indices:
@@ -294,7 +299,7 @@ def check_completion(name: str, poset: Poset) -> list[str]:
         fails.append(f"{name}: density failed: {report.failures[:2]}")
 
     k = completion.cut_count
-    for indices in _iter_index_families(k, EXHAUSTIVE_MASKS, 0, 64):
+    for indices in _iter_index_families(k, 0, 64):
         family = [completion.cuts[i] for i in indices]
         fast_sup = sup_cuts(completion, family)
         fast_inf = inf_cuts(completion, family)
@@ -412,8 +417,11 @@ def check_global(name: str, instance: EquationInstance) -> list[str]:
 # ------------------------------------------------- increasing-map chain
 
 
-def bound_chain_fixture(seed: int) -> tuple[CompletedPoset, Poset, tuple[int, ...], list]:
-    """A seeded increasing cut map, as target cut masks, plus a nonvoid family."""
+def bound_chain_fixture(seed: int) -> tuple[CompletedPoset, PosetMap, tuple[int, ...], list]:
+    """A seeded map phi between small posets, its extension mu to the source
+    cuts as target cut masks, and a nonvoid family of source cuts.  About
+    half of the maps are increasing and a few are OIEs, as the conditional
+    laws of ``_extension_law_failures`` need."""
     rng = random.Random(seed)
 
     def small_poset(prefix: str) -> Poset:
@@ -438,18 +446,56 @@ def bound_chain_fixture(seed: int) -> tuple[CompletedPoset, Poset, tuple[int, ..
     mu = extension_cut_map(phi, source)
     size = rng.randint(1, source.cut_count)
     family = [source.cuts[i] for i in sorted(rng.sample(range(source.cut_count), size))]
-    return source, target_poset, mu, family
+    return source, phi, mu, family
 
 
 def check_bound_chain_instance(seed: int) -> list[str]:
-    report = check_bound_chain(*bound_chain_fixture(seed))
+    """The bound chain and the laws of the extension on one seeded map; a
+    decrease of the extension is a failure line, not an error."""
+    source, phi, mu, family = bound_chain_fixture(seed)
+    name = f"boundchain(seed={seed})"
+    try:
+        report = check_bound_chain(source, phi.target, mu, family)
+    except NotIncreasing as exc:
+        return [f"{name}: extension not monotone: {exc}"]
+    fails = []
     if not report.chain_holds:
-        return [
-            f"boundchain(seed={seed}): chain broke: "
+        fails.append(
+            f"{name}: chain broke: "
             f"{report.mu_of_inf.label()} / {report.inf_of_images.label()} / "
             f"{report.sup_of_images.label()} / {report.mu_of_sup.label()}"
-        ]
-    return []
+        )
+    return fails + _extension_law_failures(name, source, phi, mu)
+
+
+def _extension_law_failures(
+    name: str, source: CompletedPoset, phi: PosetMap, mu: tuple[int, ...]
+) -> list[str]:
+    """When phi is increasing, its extension mu sends each principal cut
+    <x] to <phi(x)]; when phi is an order isomorphic embedding (OIE),
+    inclusion holds between two images exactly when it holds between the
+    cuts, checked on every pair."""
+    fails = []
+    poset = source.parent
+    target = phi.target
+    if is_increasing(phi):
+        for i, image in enumerate(phi.assignment):
+            if mu[source.embedding[i]] != target.down_masks[image]:
+                fails.append(
+                    f"{name}: extension moves the principal cut <{poset.labels[i]}] "
+                    f"off <{target.labels[image]}]"
+                )
+                break
+    if is_oie(phi):
+        masks = source.cut_masks
+        for i, j in product(range(len(masks)), repeat=2):
+            if (masks[i] & ~masks[j] == 0) != (mu[i] & ~mu[j] == 0):
+                fails.append(
+                    f"{name}: extension is not an OIE on the cuts "
+                    f"{cut_label(poset, masks[i])}, {cut_label(poset, masks[j])}"
+                )
+                break
+    return fails
 
 
 # ------------------------------------------------------------- suites

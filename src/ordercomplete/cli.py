@@ -1,8 +1,8 @@
 """Batch command line front end.
 
-Exit codes: 0 success (and solvable for `solve`), 1 unsolvable or a
-failed check, 2 invalid input, 3 resource cap.  All output is byte
-deterministic for fixed inputs and flags.
+Exit codes: 0 success (and solvable for `solve`), 1 unsolvable, a
+failed check or a broken internal invariant, 2 invalid input, 3 resource
+cap.  All output is byte deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .poset import DEFAULT_MAX_ARITY, CarrierSet, has_maximum, has_minimum
 from .solver import build_equation, solve
 
 EXIT_OK = 0
-EXIT_UNSOLVABLE = 1
+EXIT_FAILED = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
 
@@ -93,7 +93,7 @@ def _cmd_solve(args) -> int:
     target = jsonio.target_from_data(_read_json(args.target), codomain)
     report = solve(instance, target)
     _write(jsonio.dumps(jsonio.solve_report_to_data(report)), args.output)
-    return EXIT_OK if report.solvable else EXIT_UNSOLVABLE
+    return EXIT_OK if report.solvable else EXIT_FAILED
 
 
 def _cmd_check(args) -> int:
@@ -116,7 +116,7 @@ def _cmd_check(args) -> int:
     )
     for line in lines:
         print(line)
-    return EXIT_OK if ok else EXIT_UNSOLVABLE
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 def _cmd_gen(args) -> int:
@@ -228,9 +228,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceCap as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except OrderCompletionError as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OrderCompletionError as exc:
+        # a broken invariant is a failed run, not bad input
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

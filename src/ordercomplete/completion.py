@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidCut, ResourceCap
 from .poset import (
@@ -65,20 +65,9 @@ class Cut(Subset):
         return cut_label(self.parent, self.mask)
 
 
-def cut_closure(poset: Poset, subset: Subset) -> Cut:
-    """Least cut containing the subset: A^ul."""
-    _require_same_parent(poset, subset)
-    return Cut(poset, _closure_mask(poset, subset.mask))
-
-
 def is_cut(poset: Poset, subset: Subset) -> bool:
     _require_same_parent(poset, subset)
     return _closure_mask(poset, subset.mask) == subset.mask
-
-
-def embed(poset: Poset, label: str) -> Cut:
-    """The principal cut <x] of an element."""
-    return Cut(poset, poset.down_masks[poset.index(label)])
 
 
 def _canonical_key(arity: int, mask: int) -> int:
@@ -175,16 +164,6 @@ def macneille_completion(poset: Poset, max_cuts: int = DEFAULT_MAX_CUTS) -> Comp
     return CompletedPoset(poset, cut_masks, embedding)
 
 
-def _member_cut(completion: CompletedPoset, subset: Subset) -> int:
-    """Mask of a family member after checking it belongs to the completion."""
-    _require_same_parent(completion.parent, subset)
-    if subset.mask not in completion._mask_index:
-        raise InvalidCut(
-            f"{cut_label(completion.parent, subset.mask)} is not a cut of this completion"
-        )
-    return subset.mask
-
-
 def sup_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
     """Least upper bound of a cut family: (union)^ul.
 
@@ -192,7 +171,7 @@ def sup_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
     """
     union = 0
     for cut in family:
-        union |= _member_cut(completion, cut)
+        union |= completion.cut_masks[completion.index_of(cut)]
     return Cut(completion.parent, _closure_mask(completion.parent, union))
 
 
@@ -203,7 +182,7 @@ def inf_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
     """
     meet = completion.parent.full_mask
     for cut in family:
-        meet &= _member_cut(completion, cut)
+        meet &= completion.cut_masks[completion.index_of(cut)]
     return Cut(completion.parent, meet)
 
 
@@ -227,18 +206,18 @@ class MacNeilleReport:
         return self.complete and self.embedding_ok and self.density_ok
 
 
+EXHAUSTIVE_MASKS = 4096  # all subsets when 2^count fits
+
+
 def _iter_index_families(
-    count: int, limit: int, seed: int, sample_budget: int = 256
+    count: int, seed: int, sample_budget: int = 256
 ) -> Iterable[tuple[int, ...]]:
-    """All index subsets when 2^count fits the limit, a fixed sample otherwise.
+    """All index subsets when 2^count fits EXHAUSTIVE_MASKS, a fixed sample otherwise.
 
     The sample always contains the empty family, the full family and all
     singletons, topped up with seeded random families.
     """
-    if count <= 0:
-        yield ()
-        return
-    if 1 << count <= limit:
+    if 1 << count <= EXHAUSTIVE_MASKS:
         for mask in range(1 << count):
             yield _mask_members(mask)
         return
@@ -252,10 +231,7 @@ def _iter_index_families(
         yield tuple(sorted(rng.sample(range(count), size)))
 
 
-def verify_macneille(
-    completion: CompletedPoset,
-    family_limit: int = 4096,
-) -> MacNeilleReport:
+def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
     """Check completeness, the embedding and order density of a completion.
 
     Completeness is certified exactly for every completion: the full
@@ -268,14 +244,14 @@ def verify_macneille(
 
     ``exhaustive`` describes the sup/inf preservation scan over parent
     subsets, which covers every subset when 2^arity is at most
-    ``family_limit`` and a deterministic sample otherwise.
+    ``EXHAUSTIVE_MASKS`` and a deterministic sample otherwise.
     """
     poset = completion.parent
     masks = completion.cut_masks
     k = len(masks)
     failures: list[str] = []
 
-    exhaustive = (1 << poset.arity) <= family_limit
+    exhaustive = (1 << poset.arity) <= EXHAUSTIVE_MASKS
 
     # (1) the list holds the full carrier and every principal intersection
     required = {down & mask for down in set(poset.down_masks) for mask in masks}
@@ -302,7 +278,7 @@ def verify_macneille(
                     f"embedding does not reflect order on "
                     f"{poset.labels[i]!r}, {poset.labels[j]!r}"
                 )
-    for indices in _iter_index_families(poset.arity, family_limit, 1):
+    for indices in _iter_index_families(poset.arity, 1):
         subset_mask = 0
         union = 0
         meet = poset.full_mask
@@ -382,13 +358,30 @@ def _upper_covers(poset: Poset, mask: int) -> list[int]:
     return covers
 
 
-def _first_decrease(poset: Poset, cut_map: dict[int, int]) -> tuple[int, int] | None:
-    """First cover (C, D) of the cut lattice of ``poset`` along which a map
-    given on every cut mask does not keep inclusion, or None."""
-    for mask, image in cut_map.items():
+def _cover_edges(completion: CompletedPoset) -> Iterator[tuple[int, int]]:
+    """Index pairs (i, j) of the covers C_i < C_j of the cut lattice, in cut
+    order and then in ``_upper_covers`` order.
+
+    Raises InvalidCut when the completion does not list an upper cover.
+    """
+    poset = completion.parent
+    index = completion._mask_index
+    for i, mask in enumerate(completion.cut_masks):
         for upper in _upper_covers(poset, mask):
-            if image & ~cut_map[upper]:
-                return mask, upper
+            j = index.get(upper)
+            if j is None:
+                raise InvalidCut(f"completion misses the cut {cut_label(poset, upper)}")
+            yield i, j
+
+
+def _first_decrease(
+    completion: CompletedPoset, images: Sequence[int]
+) -> tuple[int, int] | None:
+    """First cover (i, j) of ``_cover_edges`` along which a map, given as
+    one mask per cut of the completion, does not keep inclusion, or None."""
+    for i, j in _cover_edges(completion):
+        if images[i] & ~images[j]:
+            return i, j
     return None
 
 
@@ -396,7 +389,8 @@ def to_dot(completion: CompletedPoset) -> str:
     """Hasse diagram of the completion as DOT text.
 
     Principal (embedded) cuts are drawn with a double border.  The
-    completion must list every cut, as ``macneille_completion`` does.
+    completion must list every cut, as ``macneille_completion`` does; a
+    missing one raises InvalidCut.
     """
     poset = completion.parent
     principal = set(completion.embedding)
@@ -405,13 +399,7 @@ def to_dot(completion: CompletedPoset) -> str:
         label = cut_label(poset, mask).replace('"', '\\"')
         extra = ", peripheries=2" if i in principal else ""
         lines.append(f'  c{i} [label="{label}"{extra}];')
-    index = completion._mask_index
-    edges = sorted(
-        (i, index[upper])
-        for i, mask in enumerate(completion.cut_masks)
-        for upper in _upper_covers(poset, mask)
-    )
-    for i, j in edges:
+    for i, j in sorted(_cover_edges(completion)):
         lines.append(f"  c{i} -> c{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,11 @@
 """Exception hierarchy.
 
 Two broad families matter to callers: bad input (the CLI maps these to
-exit code 2) and resource caps (exit code 3).  Everything else signals a
-broken internal invariant and should never surface in normal use.
+exit code 2) and resource caps (exit code 3).  Everything else, such as
+NoBound, MultipleSolutions or a bare OrderCompletionError, signals a
+broken internal invariant and should never surface in normal use; the
+CLI reports it as one ``error: internal:`` line and exits 1, like a
+failed check.
 """
 
 

@@ -123,21 +123,6 @@ def subset_to_data(subset: Subset) -> list[str]:
     return list(subset.names())
 
 
-def map_to_data(mapping: PosetMap) -> dict:
-    if isinstance(mapping.source, Poset):
-        source = poset_to_data(mapping.source)
-    else:
-        source = carrier_to_data(mapping.source)
-    return {
-        "source": source,
-        "target": poset_to_data(mapping.target),
-        "map": {
-            name: mapping.target.labels[mapping.assignment[i]]
-            for i, name in enumerate(mapping.source.labels)
-        },
-    }
-
-
 def _mapping_from_data(data: Any) -> dict[str, str]:
     data = _expect_dict(data, "map assignment")
     for key, value in data.items():

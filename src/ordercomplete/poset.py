@@ -211,12 +211,6 @@ class Subset:
         labels = self.parent.labels
         return tuple(labels[i] for i in self.members())
 
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, label: str) -> bool:
-        return bool((self.mask >> self.parent.index(label)) & 1)
-
 
 def _require_same_parent(parent: Parent, subset: Subset) -> None:
     if subset.parent != parent:
@@ -272,16 +266,6 @@ def build_poset(
     return Poset(labels, tuple(rows))
 
 
-def down_set(poset: Poset, label: str) -> Subset:
-    """Principal down-set: all elements <= the given one."""
-    return Subset(poset, poset.down_masks[poset.index(label)])
-
-
-def up_set(poset: Poset, label: str) -> Subset:
-    """Principal up-set: all elements >= the given one."""
-    return Subset(poset, poset.up_masks[poset.index(label)])
-
-
 def _upper_mask(poset: Poset, mask: int) -> int:
     """A^u of a mask: one table lookup per chunk of 8 elements."""
     out = poset.full_mask
@@ -315,22 +299,6 @@ def lower_bounds(poset: Poset, subset: Subset) -> Subset:
     """All common lower bounds of the subset; the full carrier for {}."""
     _require_same_parent(poset, subset)
     return Subset(poset, _lower_mask(poset, subset.mask))
-
-
-def minimals(poset: Poset) -> Subset:
-    mask = 0
-    for i in range(poset.arity):
-        if poset.down_masks[i] == 1 << i:
-            mask |= 1 << i
-    return Subset(poset, mask)
-
-
-def maximals(poset: Poset) -> Subset:
-    mask = 0
-    for i in range(poset.arity):
-        if poset.up_masks[i] == 1 << i:
-            mask |= 1 << i
-    return Subset(poset, mask)
 
 
 def has_minimum(poset: Poset) -> bool:

@@ -58,10 +58,6 @@ class QuotientPoset:
     representatives: tuple[int, ...]
     order: Poset
 
-    @property
-    def class_count(self) -> int:
-        return len(self.classes)
-
 
 @dataclass(frozen=True)
 class AssumptionFlags:
@@ -165,12 +161,6 @@ def build_equation(
         images=images,
         max_cuts=max_cuts,
     )
-
-
-def t_sharp(instance: EquationInstance, cut: Subset) -> Cut:
-    """Extended map on a cut of the quotient completion."""
-    index = instance.quotient_completion.index_of(cut)  # membership + parent check
-    return Cut(instance.codomain, instance.images[index])
 
 
 @dataclass(frozen=True)
@@ -292,11 +282,10 @@ def global_character(instance: EquationInstance) -> GlobalReport:
         # their covers
         order_iso = len(instance.images) == cc.cut_count
         if order_iso:
-            forward = dict(zip(qc.cut_masks, instance.images))
-            inverse = {image: mask for mask, image in forward.items()}
+            inverse = dict(zip(instance.images, qc.cut_masks))
             order_iso = (
-                _first_decrease(qc.parent, forward) is None
-                and _first_decrease(instance.codomain, inverse) is None
+                _first_decrease(qc, instance.images) is None
+                and _first_decrease(cc, [inverse[m] for m in cc.cut_masks]) is None
             )
 
     return GlobalReport(

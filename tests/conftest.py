@@ -1,5 +1,6 @@
 from hypothesis import settings, strategies as st
 
+from ordercomplete.completion import Cut
 from ordercomplete.poset import Poset, build_poset
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -32,3 +33,8 @@ def posets_with_two_masks(draw, max_n: int = 6):
     a = draw(st.integers(min_value=0, max_value=poset.full_mask))
     b = draw(st.integers(min_value=0, max_value=poset.full_mask))
     return poset, a, b
+
+
+def principal(poset: Poset, label: str) -> Cut:
+    """The principal cut <x] of an element."""
+    return Cut(poset, poset.down_masks[poset.index(label)])

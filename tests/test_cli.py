@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from ordercomplete import checks, cli
+from ordercomplete.errors import MultipleSolutions, OrderCompletionError
+
 CMD = [sys.executable, "-m", "ordercomplete"]
 
 
@@ -302,6 +305,33 @@ class TestCheck:
         result = run("check", "nonsense")
         assert result.returncode == 2
         assert "unknown suite" in result.stderr
+
+
+class TestInternalErrors:
+    """A broken invariant exits 1 with one ``error: internal:`` line."""
+
+    def test_solver_bug_exits_1(self, constant_equation_file, tmp_path, monkeypatch, capsys):
+        def broken(instance, target):
+            raise OrderCompletionError("solution does not map onto the target")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        target = write_target(tmp_path, {"principal": "p"})
+        code = cli.main(
+            ["solve", "--input", str(constant_equation_file), "--target", str(target)]
+        )
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: internal: solution does not map onto the target\n"
+
+    def test_two_solutions_in_a_check_exit_1(self, monkeypatch, capsys):
+        def broken(instance, target):
+            raise MultipleSolutions("two cuts solve the equation")
+
+        monkeypatch.setattr(checks, "brute_solve", broken)
+        code = cli.main(["check", "theorem41", "--count", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: internal: two cuts solve the equation\n"
 
 
 class TestGen:

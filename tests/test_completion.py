@@ -9,9 +9,7 @@ from ordercomplete.completion import (
     CompletedPoset,
     Cut,
     _canonical_key,
-    cut_closure,
     cut_label,
-    embed,
     inf_cuts,
     is_cut,
     macneille_completion,
@@ -22,13 +20,18 @@ from ordercomplete.completion import (
 from ordercomplete.errors import InvalidCut, ParentMismatch, ResourceCap
 from ordercomplete.generators import GeneratorSpec, generate
 from ordercomplete.oracle import brute_bound, brute_covers, brute_cuts
-from ordercomplete.poset import Subset, build_poset
+from ordercomplete.poset import Subset, build_poset, lower_bounds, upper_bounds
 
-from conftest import posets, posets_with_mask
+from conftest import posets, posets_with_mask, principal
 
 
 def _members(mask):
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def closure(poset, subset):
+    """A^ul through the public bound operators."""
+    return Cut(poset, lower_bounds(poset, upper_bounds(poset, subset)).mask)
 
 
 def chain3():
@@ -58,30 +61,30 @@ class TestCutClosure:
     def test_singleton_closes_to_principal(self):
         p = chain3()
         for x in p.labels:
-            assert cut_closure(p, p.subset([x])) == embed(p, x)
+            assert closure(p, p.subset([x])) == principal(p, x)
 
     def test_empty_set_on_antichain_stays_empty(self):
         p = antichain(2)
-        assert cut_closure(p, p.subset([])).names() == ()
+        assert closure(p, p.subset([])).names() == ()
 
     def test_empty_set_on_chain_closes_to_minimum(self):
         p = chain3()
-        assert cut_closure(p, p.subset([])).names() == ("a",)
+        assert closure(p, p.subset([])).names() == ("a",)
 
     def test_parent_mismatch(self):
         with pytest.raises(ParentMismatch):
-            cut_closure(chain3(), antichain(2).subset([]))
+            closure(chain3(), antichain(2).subset([]))
 
     @given(posets_with_mask())
     def test_idempotent(self, case):
         poset, mask = case
-        once = cut_closure(poset, Subset(poset, mask))
-        assert cut_closure(poset, once) == once
+        once = closure(poset, Subset(poset, mask))
+        assert closure(poset, once) == once
 
     @given(posets_with_mask())
     def test_least_cut_above(self, case):
         poset, mask = case
-        closed = cut_closure(poset, Subset(poset, mask))
+        closed = closure(poset, Subset(poset, mask))
         assert mask & ~closed.mask == 0
         for other in brute_cuts(poset):
             if mask & ~other.mask == 0:
@@ -159,7 +162,7 @@ class TestEnumeration:
         p = diamond()
         c = macneille_completion(p)
         for i, label in enumerate(p.labels):
-            assert c.cuts[c.embedding[i]] == embed(p, label)
+            assert c.cuts[c.embedding[i]] == principal(p, label)
 
     def test_completion_constructor_validates_order(self):
         p = chain3()
@@ -225,13 +228,13 @@ class TestBoundsInCompletion:
     def test_sup_of_embedded_members_is_closure(self):
         p = diamond()
         c = macneille_completion(p)
-        family = [embed(p, "p"), embed(p, "q")]
-        assert sup_cuts(c, family) == cut_closure(p, p.subset(["p", "q"]))
+        family = [principal(p, "p"), principal(p, "q")]
+        assert sup_cuts(c, family) == closure(p, p.subset(["p", "q"]))
 
     def test_antichain_sup_and_inf(self):
         p = antichain(2)
         c = macneille_completion(p)
-        family = [embed(p, "a0"), embed(p, "a1")]
+        family = [principal(p, "a0"), principal(p, "a1")]
         assert sup_cuts(c, family).names() == ("a0", "a1")
         assert inf_cuts(c, family).names() == ()
 
@@ -329,9 +332,9 @@ class TestVerification:
         assert verify_macneille(full).complete
 
     def test_exhaustive_describes_the_element_subset_scan(self):
-        completion = macneille_completion(standard(6))
-        assert verify_macneille(completion).exhaustive
-        assert not verify_macneille(completion, family_limit=2**11).exhaustive
+        # 12 elements: 2^12 subsets fit EXHAUSTIVE_MASKS; 14 do not
+        assert verify_macneille(macneille_completion(standard(6))).exhaustive
+        assert not verify_macneille(macneille_completion(standard(7))).exhaustive
 
 
 def _dot_edges(text):
@@ -367,6 +370,14 @@ class TestDotExport:
         text = to_dot(macneille_completion(chain3()))
         assert "c0 -> c1;" in text and "c1 -> c2;" in text
         assert "c0 -> c2;" not in text
+
+    def test_missing_cut_raises_invalid_cut(self):
+        p = antichain(2)
+        full = macneille_completion(p)
+        # {}, {a0}, {a1} without the top {a0,a1}; the embedding still holds
+        partial = CompletedPoset(p, full.cut_masks[:-1], full.embedding)
+        with pytest.raises(InvalidCut, match="misses the cut {a0,a1}"):
+            to_dot(partial)
 
     def test_dot_marks_principal_cuts(self):
         p = antichain(2)

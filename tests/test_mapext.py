@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ordercomplete.completion import (
-    CompletedPoset,
-    cut_closure,
-    embed,
-    macneille_completion,
-)
+from ordercomplete import checks
+from ordercomplete.checks import _extension_law_failures
+from ordercomplete.completion import CompletedPoset, Cut, macneille_completion
 from ordercomplete.errors import (
     EmptyFamily,
     InvalidCut,
@@ -20,16 +17,15 @@ from ordercomplete.errors import (
 )
 from ordercomplete.mapext import (
     PosetMap,
-    apply_extension,
     check_bound_chain,
-    check_extension_laws,
     extension_cut_map,
+    extension_mask,
     is_increasing,
     is_oie,
 )
-from ordercomplete.poset import CarrierSet, Subset, build_poset
+from ordercomplete.poset import CarrierSet, _submasks, build_poset
 
-from conftest import posets
+from conftest import posets, principal
 
 
 def chain3():
@@ -74,40 +70,31 @@ class TestApplyExtension:
         p, target = antichain2(), chain3()
         phi = PosetMap.from_names(p, target, {"p": "a", "q": "c"})
         for x in p.labels:
-            got = apply_extension(phi, p.subset([x]))
-            assert got == embed(target, phi.apply(x))
+            got = extension_mask(phi, p.subset([x]).mask)
+            assert got == principal(target, phi.apply(x)).mask
 
     def test_empty_subset_gives_least_cut(self):
         p, target = antichain2(), chain3()
         phi = PosetMap.from_names(p, target, {"p": "a", "q": "c"})
-        assert apply_extension(phi, p.subset([])) == cut_closure(
-            target, target.subset([])
-        )
+        assert extension_mask(phi, 0) == macneille_completion(target).cut_masks[0]
 
     def test_identity_on_chain_closes_subsets(self):
         p = chain3()
         phi = identity_map(p)
-        assert apply_extension(phi, p.subset(["b"])).names() == ("a", "b")
+        assert Cut(p, extension_mask(phi, p.subset(["b"]).mask)).names() == ("a", "b")
 
     def test_carrier_set_source(self):
         carrier = CarrierSet(("u", "v"))
         target = antichain2()
         phi = PosetMap.from_names(carrier, target, {"u": "p", "v": "q"})
-        got = apply_extension(phi, Subset(carrier, 0b11))
-        assert got.mask == target.full_mask
-
-    def test_parent_mismatch(self):
-        p = chain3()
-        phi = identity_map(p)
-        with pytest.raises(ParentMismatch):
-            apply_extension(phi, antichain2().subset(["p"]))
+        assert extension_mask(phi, 0b11) == target.full_mask
 
     @given(posets(max_n=4), st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1))
     def test_monotone_for_inclusion(self, poset, a, b):
         phi = identity_map(poset)
-        small = Subset(poset, a & b & poset.full_mask)
-        big = Subset(poset, b & poset.full_mask)
-        assert apply_extension(phi, small).mask & ~apply_extension(phi, big).mask == 0
+        small = a & b & poset.full_mask
+        big = b & poset.full_mask
+        assert extension_mask(phi, small) & ~extension_mask(phi, big) == 0
 
 
 class TestClassification:
@@ -143,45 +130,80 @@ class TestClassification:
             is_oie(phi)
 
 
+def law_failures(phi):
+    """Failure lines of the conditional extension laws, after the bound
+    chain has checked that the extension is monotone."""
+    source = macneille_completion(phi.source)
+    mu = extension_cut_map(phi, source)
+    check_bound_chain(source, phi.target, mu, [source.cuts[0]])
+    return _extension_law_failures("map", source, phi, mu)
+
+
 class TestExtensionLaws:
     def test_identity_passes_everything(self):
-        report = check_extension_laws(identity_map(chain3()))
-        assert report.extension_monotone
-        assert report.principal_commutes is True
-        assert report.oie_on_cuts is True
-        assert report.all_ok
-        assert report.exhaustive
+        phi = identity_map(chain3())
+        assert is_increasing(phi) and is_oie(phi)
+        assert law_failures(phi) == []
 
     def test_non_increasing_skips_conditional_parts(self):
         two = build_poset(["a", "b"], [("a", "b")])
         phi = PosetMap.from_names(two, antichain2(), {"a": "p", "b": "q"})
-        report = check_extension_laws(phi)
-        assert report.extension_monotone
-        assert report.principal_commutes is None
-        assert report.oie_on_cuts is None
-        assert report.all_ok
+        # <b] = {a,b} goes to {p,q}, not <q]; the law is not checked
+        source = macneille_completion(two)
+        mu = extension_cut_map(phi, source)
+        assert mu[source.embedding[1]] != phi.target.down_masks[1]
+        assert law_failures(phi) == []
 
     def test_increasing_non_oie_checks_principals_only(self):
         p = antichain2()
         two = build_poset(["a", "b"], [("a", "b")])
         phi = PosetMap.from_names(p, two, {"p": "a", "q": "b"})
-        report = check_extension_laws(phi)
-        assert report.extension_monotone
-        assert report.principal_commutes is True
-        assert report.oie_on_cuts is None
+        # {} and {p} both go to {a}, so the cut pairs are not scanned
+        source = macneille_completion(p)
+        mu = extension_cut_map(phi, source)
+        assert mu[0] == mu[source.embedding[0]]
+        assert law_failures(phi) == []
+        broken = list(mu)
+        broken[source.embedding[0]] = two.full_mask
+        failures = _extension_law_failures("map", source, phi, tuple(broken))
+        assert len(failures) == 1 and "principal cut <p]" in failures[0]
 
     def test_carrier_source_checks_monotonicity_only(self):
         carrier = CarrierSet(("u", "v"))
         phi = PosetMap.from_names(carrier, chain3(), {"u": "a", "v": "c"})
-        report = check_extension_laws(phi)
-        assert report.extension_monotone
-        assert report.principal_commutes is None
+        for big in range(1 << carrier.arity):
+            for small in _submasks(big):
+                assert extension_mask(phi, small) & ~extension_mask(phi, big) == 0
 
     @given(posets(max_n=4))
     def test_identity_everywhere(self, poset):
-        report = check_extension_laws(identity_map(poset))
-        assert report.all_ok
-        assert report.principal_commutes is True and report.oie_on_cuts is True
+        phi = identity_map(poset)
+        assert is_increasing(phi) and is_oie(phi)
+        assert law_failures(phi) == []
+
+    def test_bound_chain_check_reports_broken_laws(self, monkeypatch):
+        seed = 14  # phi is increasing and an OIE
+        _, phi, _, _ = checks.bound_chain_fixture(seed)
+        assert is_increasing(phi) and is_oie(phi)
+        assert checks.check_bound_chain_instance(seed) == []
+        top = phi.target.full_mask
+        least = macneille_completion(phi.target).cut_masks[0]
+
+        # every cut to the full carrier: monotone, but principal cuts move
+        monkeypatch.setattr(
+            checks, "extension_cut_map", lambda phi, source: (top,) * source.cut_count
+        )
+        failures = checks.check_bound_chain_instance(seed)
+        assert any("principal cut" in line for line in failures)
+
+        # the least cut to the full carrier, every other cut to the least one
+        monkeypatch.setattr(
+            checks,
+            "extension_cut_map",
+            lambda phi, source: (top,) + (least,) * (source.cut_count - 1),
+        )
+        failures = checks.check_bound_chain_instance(seed)
+        assert len(failures) == 1 and "extension not monotone" in failures[0]
 
 
 class TestExtensionCutMap:
@@ -215,7 +237,7 @@ class TestLemmaChain:
         assert is_oie(phi)
         source = macneille_completion(source_poset)
         mu = extension_cut_map(phi, source)
-        family = [embed(source_poset, "p"), embed(source_poset, "q")]
+        family = [principal(source_poset, "p"), principal(source_poset, "q")]
         report = check_bound_chain(source, target_poset, mu, family)
         assert report.chain_holds
 
@@ -225,7 +247,7 @@ class TestLemmaChain:
         phi = PosetMap.from_names(source_poset, target_poset, {"p": "p", "q": "p"})
         source = macneille_completion(source_poset)
         mu = extension_cut_map(phi, source)
-        family = [embed(source_poset, "p"), embed(source_poset, "q")]
+        family = [principal(source_poset, "p"), principal(source_poset, "q")]
         report = check_bound_chain(source, target_poset, mu, family)
         assert report.chain_holds
         # inf of the family is the empty cut, whose image stays empty,

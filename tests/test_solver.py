@@ -2,13 +2,13 @@ from dataclasses import replace
 
 import pytest
 
-from ordercomplete.completion import embed, macneille_completion
+from ordercomplete.completion import macneille_completion
 from ordercomplete.errors import InvalidCut, ParentMismatch, ResourceCap, UnknownElement
 from ordercomplete.generators import random_equation
 from ordercomplete.mapext import PosetMap, is_oie
 from ordercomplete.oracle import brute_closure, brute_cuts, brute_solve
-from ordercomplete.poset import CarrierSet, build_poset
-from ordercomplete.solver import build_equation, global_character, solve, t_sharp
+from ordercomplete.poset import CarrierSet, Subset, build_poset
+from ordercomplete.solver import build_equation, global_character, solve
 
 
 def chain(labels):
@@ -117,30 +117,27 @@ class TestTSharp:
     def test_principal_cuts_land_on_principals(self):
         codomain = chain(["p", "q", "r"])
         instance = make_instance(["u", "v", "w"], codomain, {"u": "p", "v": "q", "w": "q"})
-        order = instance.quotient.order
-        for i, label in enumerate(order.labels):
-            image = t_sharp(instance, embed(order, label))
-            target_label = codomain.labels[instance.t_approx.assignment[i]]
-            assert image == embed(codomain, target_label)
+        embedding = instance.quotient_completion.embedding
+        for i, image in enumerate(instance.t_approx.assignment):
+            assert instance.images[embedding[i]] == codomain.down_masks[image]
 
     def test_least_cut_maps_to_least_cut_when_empty_is_a_cut(self):
         codomain = build_poset(["p", "q"], [])
         instance = make_instance(["u", "v"], codomain, {"u": "p", "v": "q"})
-        least = instance.quotient_completion.cuts[0]
-        assert least.mask == 0
-        assert t_sharp(instance, least).mask == 0
+        assert instance.quotient_completion.cut_masks[0] == 0
+        assert instance.images[0] == 0
 
     def test_identity_equation_fixes_every_cut(self):
         poset = chain(["a", "b", "c"])
         instance = identity_instance(poset)
-        for cut in instance.quotient_completion.cuts:
-            assert t_sharp(instance, cut).names() == cut.names()
+        for cut, image in zip(instance.quotient_completion.cuts, instance.images):
+            assert Subset(poset, image).names() == cut.names()
 
     def test_foreign_cut_rejected(self):
         instance = one_point_into_antichain()
         other = macneille_completion(chain(["a", "b"]))
         with pytest.raises(ParentMismatch):
-            t_sharp(instance, other.cuts[0])
+            instance.quotient_completion.index_of(other.cuts[0])
 
 
 class TestSolve:
