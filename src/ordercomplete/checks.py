@@ -26,10 +26,8 @@ from itertools import product
 from typing import Iterable
 
 from .completion import (
-    EXHAUSTIVE_MASKS,
     CompletedPoset,
     _closure_mask,
-    _iter_index_families,
     _lower_mask,
     _upper_mask,
     cut_label,
@@ -48,11 +46,34 @@ from .oracle import (
     brute_solve,
     brute_upper,
 )
-from .poset import Poset, Subset, _submasks, build_poset, lower_bounds, upper_bounds
+from .poset import Poset, Subset, _mask_members, _submasks, build_poset, lower_bounds, upper_bounds
+from .poset import maximum_index, minimum_index
 from .solver import EquationInstance, global_character, solve
 
+EXHAUSTIVE_MASKS = 4096  # all subsets when 2^count fits
 EXHAUSTIVE_PAIRS = 19683  # all subset pairs when 3^arity fits
 FAMILY_SAMPLE = 256
+BOUND_SCAN_SAMPLE = 64  # families checked against the oracle's bound scan
+
+
+def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[tuple[int, ...]]:
+    """All index subsets when 2^count fits EXHAUSTIVE_MASKS, a fixed sample otherwise.
+
+    The sample always contains the empty family, the full family and all
+    singletons, topped up with ``sample_budget`` seeded random families.
+    """
+    if 1 << count <= EXHAUSTIVE_MASKS:
+        for mask in range(1 << count):
+            yield _mask_members(mask)
+        return
+    yield ()
+    yield tuple(range(count))
+    for i in range(count):
+        yield (i,)
+    rng = random.Random(seed)
+    for _ in range(sample_budget):
+        size = rng.randint(1, count)
+        yield tuple(sorted(rng.sample(range(count), size)))
 
 
 # ---------------------------------------------------------------- corpora
@@ -297,9 +318,10 @@ def check_completion(name: str, poset: Poset) -> list[str]:
         fails.append(f"{name}: embedding check failed: {report.failures[:2]}")
     if not report.density_ok:
         fails.append(f"{name}: density failed: {report.failures[:2]}")
+    fails.extend(_bound_keeping_failures(name, poset))
 
     k = completion.cut_count
-    for indices in _iter_index_families(k, 0, 64):
+    for indices in _iter_index_families(k, 0, BOUND_SCAN_SAMPLE):
         family = [completion.cuts[i] for i in indices]
         fast_sup = sup_cuts(completion, family)
         fast_inf = inf_cuts(completion, family)
@@ -309,6 +331,29 @@ def check_completion(name: str, poset: Poset) -> list[str]:
         if fast_inf != brute_bound(completion, family, "inf"):
             fails.append(f"{name}: inf disagrees with the bound scan on {indices}")
             break
+    return fails
+
+
+def _bound_keeping_failures(name: str, poset: Poset) -> list[str]:
+    """The embedding keeps every sup and inf of element subsets, tested on
+    the table kernel off the principal sets that ``verify_macneille`` checks."""
+    fails = []
+    principal = poset.down_masks
+    for indices in _iter_index_families(poset.arity, 1, FAMILY_SAMPLE):
+        subset_mask = 0
+        union = 0
+        meet = poset.full_mask
+        for i in indices:
+            subset_mask |= 1 << i
+            union |= principal[i]
+            meet &= principal[i]
+        names = ",".join(poset.labels[i] for i in indices)
+        s = minimum_index(poset, _upper_mask(poset, subset_mask))
+        if s is not None and _closure_mask(poset, union) != principal[s]:
+            fails.append(f"{name}: embedding loses the supremum of {{{names}}}")
+        t = maximum_index(poset, _lower_mask(poset, subset_mask))
+        if t is not None and meet != principal[t]:
+            fails.append(f"{name}: embedding loses the infimum of {{{names}}}")
     return fails
 
 

@@ -68,9 +68,6 @@ class PosetMap:
             assignment.append(target.index(mapping[name]))
         return cls(source, target, tuple(assignment))
 
-    def apply(self, label: str) -> str:
-        return self.target.labels[self.assignment[self.source.index(label)]]
-
 
 def extension_mask(phi: PosetMap, mask: int) -> int:
     """Target cut mask the extension sends a source subset mask to: (f(A))^ul."""

@@ -86,7 +86,7 @@ class CarrierSet:
     def arity(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << len(self.labels)) - 1
 
@@ -102,15 +102,14 @@ class CarrierSet:
 
 
 @dataclass(frozen=True)
-class Poset:
-    """A finite partial order.
+class Poset(CarrierSet):
+    """A finite partial order: a carrier and its order relation.
 
     ``up_masks[i]`` is the bitmask of ``{j : i <= j}`` (the principal
     up-set of element i, itself included).  The three poset axioms are
     re-validated on construction.
     """
 
-    labels: tuple[str, ...]
     up_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -137,14 +136,6 @@ class Poset:
                         f"relation is not transitive through {self.labels[j]!r}"
                     )
 
-    @property
-    def arity(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def full_mask(self) -> int:
-        return (1 << len(self.labels)) - 1
-
     @cached_property
     def _up_tables(self) -> tuple[tuple[int, ...], ...]:
         return _row_tables(self.up_masks, self.full_mask)
@@ -162,19 +153,6 @@ class Poset:
             for j in _mask_members(row):
                 cols[j] |= 1 << i
         return tuple(cols)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.labels)}
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownElement(f"unknown element {label!r}") from None
-
-    def leq(self, a: str, b: str) -> bool:
-        return bool((self.up_masks[self.index(a)] >> self.index(b)) & 1)
 
     def leq_index(self, i: int, j: int) -> bool:
         return bool((self.up_masks[i] >> j) & 1)

@@ -35,6 +35,11 @@ def posets_with_two_masks(draw, max_n: int = 6):
     return poset, a, b
 
 
+def leq(poset: Poset, a: str, b: str) -> bool:
+    """a <= b, by label."""
+    return poset.leq_index(poset.index(a), poset.index(b))
+
+
 def principal(poset: Poset, label: str) -> Cut:
     """The principal cut <x] of an element."""
     return Cut(poset, poset.down_masks[poset.index(label)])

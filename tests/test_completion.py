@@ -1,3 +1,4 @@
+import random
 import re
 from functools import partial
 
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordercomplete import checks
+from ordercomplete import completion as completion_module
 from ordercomplete.completion import (
     CompletedPoset,
     Cut,
@@ -217,6 +220,17 @@ class TestEnumeration:
         by_key = sorted(masks, key=partial(_canonical_key, n))
         assert by_key == sorted(masks, key=lambda m: (m.bit_count(), _members(m)))
 
+    @pytest.mark.parametrize("n", range(21))
+    def test_integer_key_is_strictly_increasing_in_member_order(self, n):
+        if n <= 12:
+            masks = range(1 << n)
+        else:
+            rng = random.Random(n)
+            masks = {rng.getrandbits(n) for _ in range(2000)} | {0, (1 << n) - 1}
+        ordered = sorted(masks, key=lambda m: (m.bit_count(), _members(m)))
+        keys = [_canonical_key(n, m) for m in ordered]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
 
 class TestBoundsInCompletion:
     def test_sup_singleton_is_identity(self):
@@ -331,10 +345,57 @@ class TestVerification:
         assert f"completion misses the cut {cut_label(poset, dropped)}" in report.failures
         assert verify_macneille(full).complete
 
-    def test_exhaustive_describes_the_element_subset_scan(self):
-        # 12 elements: 2^12 subsets fit EXHAUSTIVE_MASKS; 14 do not
-        assert verify_macneille(macneille_completion(standard(6))).exhaustive
-        assert not verify_macneille(macneille_completion(standard(7))).exhaustive
+    def test_verification_is_exhaustive_at_every_size(self):
+        # 12, 14 and 20 elements: the checks are exact, with no sampling
+        for n in (6, 7, 10):
+            report = verify_macneille(macneille_completion(standard(n)))
+            assert report.exhaustive and report.all_ok
+
+    def test_corrupt_kernel_on_a_principal_set_is_named(self):
+        p = chain3()
+        completion = macneille_completion(p)
+        b = p.index("b")
+        table = list(p._up_tables[0])
+        table[p.down_masks[b]] = p.full_mask  # (D_b)^u should be U_b = {b,c}
+        p.__dict__["_up_tables"] = (tuple(table),)
+        report = verify_macneille(completion)
+        assert report.embedding_ok is False
+        assert "principal sets of 'b' are not mutual bounds" in report.failures
+
+    @pytest.mark.parametrize("case", ["divisor(60)", "S6"])
+    def test_kernel_calls_are_linear(self, case, monkeypatch):
+        poset = COVER_CASES[case]
+        completion = macneille_completion(poset)
+        calls = 0
+
+        def counted(kernel):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return kernel(*args)
+
+            return wrapper
+
+        for name in ("_upper_mask", "_lower_mask", "_closure_mask"):
+            kernel = getattr(completion_module, name)
+            monkeypatch.setattr(completion_module, name, counted(kernel))
+        assert verify_macneille(completion).all_ok
+        assert 0 < calls <= 4 * (poset.arity + completion.cut_count)
+
+    def test_check_scan_catches_a_kernel_fault_off_the_principal_sets(self, monkeypatch):
+        p = diamond()
+        # {p,q} is not principal and has the sup top: the union of its down-sets
+        # {bot,p,q} must close to the full carrier
+        union = p.subset(["bot", "p", "q"]).mask
+        kernel = checks._closure_mask
+
+        def faulty(poset, mask):
+            return mask if mask == union else kernel(poset, mask)
+
+        monkeypatch.setattr(checks, "_closure_mask", faulty)
+        assert verify_macneille(macneille_completion(p)).all_ok
+        fails = checks.check_completion("diamond", p)
+        assert "diamond: embedding loses the supremum of {p,q}" in fails
 
 
 def _dot_edges(text):

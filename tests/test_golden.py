@@ -23,7 +23,7 @@ from ordercomplete.generators import GeneratorSpec, describe, random_equation
 from ordercomplete.oracle import brute_cuts
 
 GOLDEN = {
-    "complete": "9bcf3048ced3f66ec2885ecf7e14a25e6d726896a2771def6956311d0046156b",
+    "complete": "514f897365604aa619cf85fe6069a00361bc924b35313d2a3ab0569d46a85781",
     "export": "67f935047c642085643d4eec7a4084da72a80d9780ed90a3c0c334eef342ebea",
     "solve": "f1422c7c26083e24f427cbcc578bb940de33045b8ffbccd188778e086edf11e1",
     "gen": "81f00334a267080cb86be79baa99cd0ac2a987eaf0dc539f916a04f91d7f762d",

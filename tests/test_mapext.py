@@ -55,23 +55,25 @@ class TestPosetMap:
         with pytest.raises(UnknownElement):
             PosetMap.from_names(antichain2(), chain3(), {"p": "a", "q": "zz"})
 
-    def test_apply(self):
-        phi = PosetMap.from_names(antichain2(), chain3(), {"p": "a", "q": "c"})
-        assert phi.apply("q") == "c"
+    def test_from_names_assignment(self):
+        target = chain3()
+        phi = PosetMap.from_names(antichain2(), target, {"p": "a", "q": "c"})
+        assert phi.assignment[1] == target.index("c")
 
     def test_carrier_set_source_allowed(self):
         carrier = CarrierSet(("u", "v"))
-        phi = PosetMap.from_names(carrier, chain3(), {"u": "a", "v": "a"})
-        assert phi.apply("v") == "a"
+        target = chain3()
+        phi = PosetMap.from_names(carrier, target, {"u": "a", "v": "a"})
+        assert phi.assignment[1] == target.index("a")
 
 
 class TestApplyExtension:
     def test_singleton_lands_on_principal(self):
         p, target = antichain2(), chain3()
         phi = PosetMap.from_names(p, target, {"p": "a", "q": "c"})
-        for x in p.labels:
+        for i, x in enumerate(p.labels):
             got = extension_mask(phi, p.subset([x]).mask)
-            assert got == principal(target, phi.apply(x)).mask
+            assert got == principal(target, target.labels[phi.assignment[i]]).mask
 
     def test_empty_subset_gives_least_cut(self):
         p, target = antichain2(), chain3()
