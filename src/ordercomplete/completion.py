@@ -6,11 +6,16 @@ embeds densely via x -> <x].  The cuts are the concept intents of the
 context (P, P, <=), so the kernels are the standard concept-lattice
 ones: enumeration intersects the cuts found so far with one principal
 down-set at a time (Norris 1978), Hasse covers are the minimal closures
-of a cut plus one element (Lindig 2000), and completeness of a cut list
-is certified exactly by its closure under those intersections.  Every
-closure goes through the table-driven kernel of `poset`.  The
-exponential 2^n scan and the cubic cover scan live in `oracle` as the
-reference implementations.
+of a cut plus one element (Lindig 2000).  Every closure goes through
+the table-driven kernel of `poset`.  The exponential 2^n scan and the
+cubic cover scan live in `oracle` as the reference implementations.
+
+Values are validated once, at the boundary.  The public constructors
+``Cut(...)`` and ``CompletedPoset(...)`` check everything they claim; in
+particular a ``CompletedPoset`` is certified to list exactly the cuts,
+so every one is complete and densely embeds its poset.  The package's
+own algorithms build values that hold by construction through
+``_trusted``, which skips that validation.
 
 Canonical cut order is (cardinality, then member indices lexicographically);
 all reports and file formats rely on it for reproducibility.  It is
@@ -37,6 +42,14 @@ from .poset import (
 )
 
 DEFAULT_MAX_CUTS = 4096
+
+
+def _trusted(cls, **fields):
+    """A frozen dataclass value built without running ``__post_init__``,
+    for values that the algorithm building them already makes valid."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
 
 
 def cut_label(poset: Poset, mask: int) -> str:
@@ -88,7 +101,12 @@ def _canonical_key(arity: int, mask: int) -> int:
 class CompletedPoset:
     """All cuts of a poset in canonical order, plus the element embedding.
 
-    ``embedding[i]`` is the index of the principal cut of element i.
+    ``embedding[i]`` is the index of the principal cut of element i.  The
+    constructor certifies that the list is exactly the set of cuts: each
+    listed mask is closed, and the list holds the full carrier and
+    ``D_x & C`` for every principal down-set D_x and listed cut C.  Every
+    cut is an intersection of principal down-sets, so none is missing,
+    and the first missing one in canonical order is named otherwise.
     """
 
     parent: Poset
@@ -114,6 +132,12 @@ class CompletedPoset:
         pointed = tuple(self.cut_masks[e] if 0 <= e < k else None for e in self.embedding)
         if pointed != self.parent.down_masks:
             raise InvalidCut("embedding does not point at the principal cuts")
+        required = {d & m for d in set(self.parent.down_masks) for m in self.cut_masks}
+        required.add(self.parent.full_mask)
+        missing = required.difference(self._mask_index)
+        if missing:
+            first = min(missing, key=partial(_canonical_key, self.parent.arity))
+            raise InvalidCut(f"completion misses the cut {cut_label(self.parent, first)}")
 
     @property
     def cut_count(self) -> int:
@@ -121,7 +145,7 @@ class CompletedPoset:
 
     @cached_property
     def cuts(self) -> tuple[Cut, ...]:
-        return tuple(Cut(self.parent, m) for m in self.cut_masks)
+        return tuple(_trusted(Cut, parent=self.parent, mask=m) for m in self.cut_masks)
 
     @cached_property
     def _mask_index(self) -> dict[int, int]:
@@ -163,7 +187,7 @@ def macneille_completion(poset: Poset, max_cuts: int = DEFAULT_MAX_CUTS) -> Comp
     cut_masks = tuple(sorted(found, key=partial(_canonical_key, poset.arity)))
     index = {m: i for i, m in enumerate(cut_masks)}
     embedding = tuple(index[poset.down_masks[i]] for i in range(poset.arity))
-    return CompletedPoset(poset, cut_masks, embedding)
+    return _trusted(CompletedPoset, parent=poset, cut_masks=cut_masks, embedding=embedding)
 
 
 def sup_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
@@ -174,7 +198,7 @@ def sup_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
     union = 0
     for cut in family:
         union |= completion.cut_masks[completion.index_of(cut)]
-    return Cut(completion.parent, _closure_mask(completion.parent, union))
+    return _trusted(Cut, parent=completion.parent, mask=_closure_mask(completion.parent, union))
 
 
 def inf_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
@@ -185,16 +209,21 @@ def inf_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
     meet = completion.parent.full_mask
     for cut in family:
         meet &= completion.cut_masks[completion.index_of(cut)]
-    return Cut(completion.parent, meet)
+    return _trusted(Cut, parent=completion.parent, mask=meet)
 
 
 @dataclass(frozen=True)
 class MacNeilleReport:
-    """Outcome of the structural verification of a completion."""
+    """Outcome of the structural verification of a completion.
 
-    complete: bool
+    Completeness and order density are invariants of ``CompletedPoset``
+    and need no field; the report covers the embedding.
+    ``inf_side_empty`` names the cuts with no element above them, whose
+    inf family is empty and whose equality rests on the empty-meet
+    convention: only the full carrier, and only without a maximum.
+    """
+
     embedding_ok: bool
-    density_ok: bool
     cut_count: int
     empty_set_is_cut: bool
     has_minimum: bool
@@ -205,48 +234,31 @@ class MacNeilleReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.complete and self.embedding_ok and self.density_ok
+        return self.embedding_ok
 
 
 def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
-    """Check completeness, the embedding and order density of a completion.
+    """Check that x -> D_x is an order embedding keeping existing bounds.
 
-    Completeness is certified exactly for every completion: the full
-    carrier is listed and ``D_x & C`` is listed for every principal
-    down-set D_x and every listed cut C.  Every cut is an intersection of
-    principal down-sets, and ``CompletedPoset`` has already checked that
-    each listed mask is closed, so the list is exactly the set of cuts;
-    sups and infs of arbitrary cut families therefore exist in it.  A
-    missing cut is named in ``failures``.
+    Completeness needs no check here: ``CompletedPoset`` certifies that
+    it lists exactly the cuts, so sups and infs of arbitrary cut
+    families exist in it.  Density holds for every cut C: C is a
+    down-set, so the union of the D_x with x in C is C, and the
+    intersection of the D_x with x in C^u is C^ul = C.
 
-    The embedding x -> D_x keeps every sup and inf that exists, and this
-    needs no scan of element subsets.  If S has the sup s, so S^u = U_s
-    (the principal up-set), the union of the D_a for a in S has the same
+    The embedding keeps every sup and inf that exists, and this needs no
+    scan of element subsets.  If S has the sup s, so S^u = U_s (the
+    principal up-set), the union of the D_a for a in S has the same
     upper bounds, so its closure is (U_s)^l = D_s; dually, if S has the
     inf t, the intersection of the D_a is S^l = D_t.  So checking
     (D_x)^u = U_x and (U_x)^l = D_x for each x suffices (MacNeille,
     *Partially ordered sets*, Trans. AMS 42, 1937; Davey & Priestley,
-    *Introduction to Lattices and Order*, 2nd ed., 2002, ch. 7).  Every
-    part is exact and O(n * k) for n elements and k cuts, so
-    ``exhaustive`` is always true.
+    *Introduction to Lattices and Order*, 2nd ed., 2002, ch. 7).  The
+    check is exact and O(n^2) for n elements, so ``exhaustive`` is
+    always true.
     """
     poset = completion.parent
-    masks = completion.cut_masks
-    k = len(masks)
     failures: list[str] = []
-
-    # (1) the list holds the full carrier and every principal intersection
-    required = {down & mask for down in set(poset.down_masks) for mask in masks}
-    required.add(poset.full_mask)
-    missing = sorted(
-        required.difference(completion._mask_index),
-        key=partial(_canonical_key, poset.arity),
-    )
-    complete = not missing
-    for mask in missing[:4]:
-        failures.append(f"completion misses the cut {cut_label(poset, mask)}")
-
-    # (2) the embedding is an OIE and preserves existing bounds
     embedding_ok = True
     principal = poset.down_masks
     if len(set(principal)) != poset.arity:
@@ -266,45 +278,18 @@ def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
             embedding_ok = False
             failures.append(f"principal sets of {poset.labels[x]!r} are not mutual bounds")
 
-    # (3) order density: every cut is the sup and the inf of principals
-    density_ok = True
-    inf_side_empty: list[str] = []
-    for mask in masks:
-        below = 0
-        for i in range(poset.arity):
-            if principal[i] & ~mask == 0:
-                below |= principal[i]
-        if _closure_mask(poset, below) != mask:
-            density_ok = False
-            failures.append(f"{cut_label(poset, mask)} is not a sup of principals")
-        above = [i for i in range(poset.arity) if mask & ~principal[i] == 0]
-        if not above:
-            # no single element dominates: the inf family is empty and the
-            # empty-meet convention yields the full carrier
-            inf_side_empty.append(cut_label(poset, mask))
-            if mask != poset.full_mask:
-                density_ok = False
-                failures.append(
-                    f"{cut_label(poset, mask)} has an empty inf family yet is proper"
-                )
-        else:
-            meet = poset.full_mask
-            for i in above:
-                meet &= principal[i]
-            if meet != mask:
-                density_ok = False
-                failures.append(f"{cut_label(poset, mask)} is not an inf of principals")
-
+    # a proper cut C has C^u nonempty, since otherwise C = C^ul is the
+    # full carrier; the full carrier has an element above it exactly
+    # when there is a maximum
+    top = has_maximum(poset)
     return MacNeilleReport(
-        complete=complete,
         embedding_ok=embedding_ok,
-        density_ok=density_ok,
-        cut_count=k,
+        cut_count=completion.cut_count,
         empty_set_is_cut=completion.empty_set_is_cut,
         has_minimum=has_minimum(poset),
-        has_maximum=has_maximum(poset),
+        has_maximum=top,
         exhaustive=True,
-        inf_side_empty=tuple(inf_side_empty),
+        inf_side_empty=() if top else (cut_label(poset, poset.full_mask),),
         failures=tuple(failures[:8]),
     )
 
@@ -330,18 +315,12 @@ def _upper_covers(poset: Poset, mask: int) -> list[int]:
 
 def _cover_edges(completion: CompletedPoset) -> Iterator[tuple[int, int]]:
     """Index pairs (i, j) of the covers C_i < C_j of the cut lattice, in cut
-    order and then in ``_upper_covers`` order.
-
-    Raises InvalidCut when the completion does not list an upper cover.
-    """
+    order and then in ``_upper_covers`` order."""
     poset = completion.parent
     index = completion._mask_index
     for i, mask in enumerate(completion.cut_masks):
         for upper in _upper_covers(poset, mask):
-            j = index.get(upper)
-            if j is None:
-                raise InvalidCut(f"completion misses the cut {cut_label(poset, upper)}")
-            yield i, j
+            yield i, index[upper]
 
 
 def _first_decrease(
@@ -358,9 +337,7 @@ def _first_decrease(
 def to_dot(completion: CompletedPoset) -> str:
     """Hasse diagram of the completion as DOT text.
 
-    Principal (embedded) cuts are drawn with a double border.  The
-    completion must list every cut, as ``macneille_completion`` does; a
-    missing one raises InvalidCut.
+    Principal (embedded) cuts are drawn with a double border.
     """
     poset = completion.parent
     principal = set(completion.embedding)

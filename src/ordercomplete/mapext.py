@@ -22,6 +22,7 @@ from .completion import (
     Cut,
     _closure_mask,
     _first_decrease,
+    _trusted,
     cut_label,
     inf_cuts,
     sup_cuts,
@@ -144,9 +145,9 @@ def check_bound_chain(
     """Check mu(inf E) <= inf mu(E) <= sup mu(E) <= mu(sup E).
 
     ``mu_masks[i]`` is the target cut mask mu sends ``source.cut_masks[i]``
-    to; ``source`` must list every cut and ``family`` be nonvoid.  mu must
-    be increasing, checked along the covers of the source cut lattice,
-    whose transitive closure is inclusion.
+    to, and each is validated as a cut; ``family`` must be nonvoid.  mu
+    must be increasing, checked along the covers of the source cut
+    lattice, whose transitive closure is inclusion.
     """
     if len(mu_masks) != source.cut_count:
         raise UnknownElement("cut map must give an image for every cut of the source")
@@ -170,8 +171,8 @@ def check_bound_chain(
         image = mu_masks[source.index_of(member)]
         union |= image
         meet &= image
-    inf_img = Cut(target_poset, meet)
-    sup_img = Cut(target_poset, _closure_mask(target_poset, union))
+    inf_img = _trusted(Cut, parent=target_poset, mask=meet)
+    sup_img = _trusted(Cut, parent=target_poset, mask=_closure_mask(target_poset, union))
     mu_inf = cuts[source.index_of(inf_e)]
     mu_sup = cuts[source.index_of(sup_e)]
 

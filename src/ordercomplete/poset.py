@@ -113,9 +113,8 @@ class Poset(CarrierSet):
     up_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        CarrierSet.__post_init__(self)
         n = len(self.labels)
-        if len(set(self.labels)) != n:
-            raise DuplicateLabel("poset labels must be distinct")
         if len(self.up_masks) != n:
             raise NotAPartialOrder("relation size does not match carrier")
         full = (1 << n) - 1

@@ -31,6 +31,7 @@ from .completion import (
     Cut,
     DEFAULT_MAX_CUTS,
     _first_decrease,
+    _trusted,
     is_cut,
     macneille_completion,
 )
@@ -137,7 +138,8 @@ def build_equation(
             if codomain.leq_index(a, b):
                 row |= 1 << j
         rows.append(row)
-    order = Poset(labels, tuple(rows))
+    # the pulled-back order of distinct images is a partial order
+    order = _trusted(Poset, labels=labels, up_masks=tuple(rows))
     quotient = QuotientPoset(classes, representatives, order)
     t_approx = PosetMap(order, codomain, class_images)
 
@@ -229,20 +231,20 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
                 "sup of the lower family differs from inf of the upper family; "
                 "this is a bug"
             )
-        solution = Cut(order, from_lower)
+        solution = _trusted(Cut, parent=order, mask=from_lower)
         if instance.images[qc.index_of(solution)] != f_mask:
             raise OrderCompletionError(
                 "constructed solution does not map onto the target; this is a bug"
             )
 
     return SolveReport(
-        target=Cut(codomain, f_mask),
+        target=_trusted(Cut, parent=codomain, mask=f_mask),
         solvable=solvable,
         solution=solution,
-        sup_of_images=Cut(codomain, sup_mask),
-        inf_of_images=Cut(codomain, meet),
-        lower_family=tuple(Cut(order, qmasks[i]) for i in lower),
-        upper_family=tuple(Cut(order, qmasks[i]) for i in upper),
+        sup_of_images=_trusted(Cut, parent=codomain, mask=sup_mask),
+        inf_of_images=_trusted(Cut, parent=codomain, mask=meet),
+        lower_family=tuple(_trusted(Cut, parent=order, mask=qmasks[i]) for i in lower),
+        upper_family=tuple(_trusted(Cut, parent=order, mask=qmasks[i]) for i in upper),
         empty_family_flags=EmptyFamilyFlags(lower=not lower, upper=not upper),
         assumption_flags=instance.assumption_flags,
     )

@@ -23,7 +23,16 @@ from ordercomplete.completion import (
 from ordercomplete.errors import InvalidCut, ParentMismatch, ResourceCap
 from ordercomplete.generators import GeneratorSpec, generate
 from ordercomplete.oracle import brute_bound, brute_covers, brute_cuts
-from ordercomplete.poset import Subset, build_poset, lower_bounds, upper_bounds
+from ordercomplete.mapext import PosetMap
+from ordercomplete.poset import (
+    CarrierSet,
+    Poset,
+    Subset,
+    build_poset,
+    lower_bounds,
+    upper_bounds,
+)
+from ordercomplete.solver import build_equation, solve
 
 from conftest import posets, posets_with_mask, principal
 
@@ -311,8 +320,7 @@ class TestVerification:
     )
     def test_structured_posets_verify(self, poset):
         report = verify_macneille(macneille_completion(poset))
-        assert report.complete and report.embedding_ok and report.density_ok
-        assert report.all_ok
+        assert report.embedding_ok and report.all_ok
 
     def test_seeded_random_poset_verifies(self):
         from ordercomplete.generators import GeneratorSpec, generate
@@ -339,11 +347,11 @@ class TestVerification:
         dropped = next(m for m in full.cut_masks if m.bit_count() == 3)
         masks = tuple(m for m in full.cut_masks if m != dropped)
         index = {m: i for i, m in enumerate(masks)}
-        partial = CompletedPoset(poset, masks, tuple(index[d] for d in poset.down_masks))
-        report = verify_macneille(partial)
-        assert report.complete is False
-        assert f"completion misses the cut {cut_label(poset, dropped)}" in report.failures
-        assert verify_macneille(full).complete
+        embedding = tuple(index[d] for d in poset.down_masks)
+        named = re.escape(f"completion misses the cut {cut_label(poset, dropped)}")
+        with pytest.raises(InvalidCut, match=named):
+            CompletedPoset(poset, masks, embedding)
+        assert CompletedPoset(poset, full.cut_masks, full.embedding) == full
 
     def test_verification_is_exhaustive_at_every_size(self):
         # 12, 14 and 20 elements: the checks are exact, with no sampling
@@ -398,6 +406,105 @@ class TestVerification:
         assert "diamond: embedding loses the supremum of {p,q}" in fails
 
 
+def _count_validations(monkeypatch, cls):
+    """Count the runs of ``cls.__post_init__`` from here on."""
+    counter = {"calls": 0}
+    validate = cls.__post_init__
+
+    def counted(self):
+        counter["calls"] += 1
+        validate(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    return counter
+
+
+def _identity_instance(poset):
+    domain = CarrierSet(poset.labels)
+    return build_equation(domain, poset, PosetMap(domain, poset, tuple(range(poset.arity))))
+
+
+class TestValidateOnce:
+    """Internal values skip validation; the public constructors accept
+    every one of them and compare equal."""
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_public_constructor_accepts_standard(self, n):
+        c = macneille_completion(standard(n))
+        assert CompletedPoset(c.parent, c.cut_masks, c.embedding) == c
+
+    def test_public_constructor_accepts_corpus(self):
+        for name, p in checks.corpus_posets(200):
+            c = macneille_completion(p)
+            assert CompletedPoset(p, c.cut_masks, c.embedding) == c, name
+
+    @given(posets(max_n=12))
+    def test_public_constructor_accepts_random(self, poset):
+        c = macneille_completion(poset)
+        assert CompletedPoset(poset, c.cut_masks, c.embedding) == c
+
+    @given(posets(max_n=8), st.integers(0, 2**16 - 1))
+    def test_bound_cuts_are_cuts(self, poset, selector):
+        c = macneille_completion(poset)
+        family = [cut for i, cut in enumerate(c.cuts) if (selector >> i) & 1]
+        for cut in (*c.cuts, sup_cuts(c, family), inf_cuts(c, family)):
+            assert cut == Cut(poset, cut.mask)
+
+    def test_solve_report_cuts_are_cuts(self):
+        for _, instance in checks.equation_corpus(20):
+            order = instance.quotient.order
+            assert Poset(order.labels, order.up_masks) == order
+            for target in instance.codomain_completion.cuts:
+                report = solve(instance, target)
+                cuts = [report.target, report.sup_of_images, report.inf_of_images]
+                cuts += [*report.lower_family, *report.upper_family]
+                if report.solution is not None:
+                    cuts.append(report.solution)
+                for cut in cuts:
+                    assert cut == Cut(cut.parent, cut.mask)
+
+    def test_inf_side_empty_matches_the_per_cut_scan(self):
+        for name, p in checks.corpus_posets(200):
+            c = macneille_completion(p)
+            # the cuts below no principal down-set
+            scan = tuple(
+                cut_label(p, m)
+                for m in c.cut_masks
+                if not any(m & ~d == 0 for d in p.down_masks)
+            )
+            assert verify_macneille(c).inf_side_empty == scan, name
+
+    def test_completion_runs_no_validation(self, monkeypatch):
+        poset = standard(10)
+        counter = _count_validations(monkeypatch, CompletedPoset)
+        assert macneille_completion(poset).cut_count == 1024
+        assert counter["calls"] == 0
+
+    def test_solve_runs_no_cut_validation(self, monkeypatch):
+        poset = standard(8)
+        instance = _identity_instance(poset)
+        target = Subset(poset, poset.full_mask)
+        counter = _count_validations(monkeypatch, Cut)
+        report = solve(instance, target)
+        assert report.solvable and len(report.lower_family) == 256
+        assert counter["calls"] == 0
+
+    def test_check_completion_validates_once_per_poset(self, monkeypatch):
+        corpus = checks.corpus_posets(10)
+        counter = _count_validations(monkeypatch, CompletedPoset)
+        for name, p in corpus:
+            assert checks.check_completion(name, p) == []
+        assert counter["calls"] == len(corpus)
+
+    def test_check_completion_reports_a_rejected_list(self, monkeypatch):
+        def without_top(poset, cut_masks, embedding):
+            return CompletedPoset(poset, cut_masks[:-1], embedding)
+
+        monkeypatch.setattr(checks, "CompletedPoset", without_top)
+        fails = checks.check_completion("pair", antichain(2))
+        assert "pair: completion rejected: completion misses the cut {a0,a1}" in fails
+
+
 def _dot_edges(text):
     return sorted(
         (int(i), int(j)) for i, j in re.findall(r"^  c(\d+) -> c(\d+);$", text, re.M)
@@ -435,10 +542,10 @@ class TestDotExport:
     def test_missing_cut_raises_invalid_cut(self):
         p = antichain(2)
         full = macneille_completion(p)
-        # {}, {a0}, {a1} without the top {a0,a1}; the embedding still holds
-        partial = CompletedPoset(p, full.cut_masks[:-1], full.embedding)
+        # {}, {a0}, {a1} without the top {a0,a1}; the embedding still holds,
+        # and the constructor names the missing cut before to_dot can run
         with pytest.raises(InvalidCut, match="misses the cut {a0,a1}"):
-            to_dot(partial)
+            CompletedPoset(p, full.cut_masks[:-1], full.embedding)
 
     def test_dot_marks_principal_cuts(self):
         p = antichain(2)

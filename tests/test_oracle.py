@@ -3,7 +3,13 @@ import weakref
 
 import pytest
 
-from ordercomplete.completion import CompletedPoset, inf_cuts, macneille_completion, sup_cuts
+from ordercomplete.completion import (
+    CompletedPoset,
+    _trusted,
+    inf_cuts,
+    macneille_completion,
+    sup_cuts,
+)
 from ordercomplete.errors import NoBound, ResourceCap
 from ordercomplete.generators import GeneratorSpec, generate, random_equation
 from ordercomplete.oracle import (
@@ -76,13 +82,15 @@ class TestBruteBound:
 
     def test_missing_bound_reported(self):
         # a hand-built, deliberately non-exhaustive cut list: without the
-        # empty cut and the full carrier the two principals have no sup
+        # empty cut and the full carrier the two principals have no sup.
+        # The public constructor rejects it, so it skips validation.
         poset = build_poset(["a", "b"], [])
         full = macneille_completion(poset)
-        partial = CompletedPoset(
-            poset,
-            (full.cut_masks[1], full.cut_masks[2]),
-            (0, 1),
+        partial = _trusted(
+            CompletedPoset,
+            parent=poset,
+            cut_masks=(full.cut_masks[1], full.cut_masks[2]),
+            embedding=(0, 1),
         )
         with pytest.raises(NoBound):
             brute_bound(partial, list(partial.cuts), "sup")

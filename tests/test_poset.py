@@ -14,6 +14,7 @@ from ordercomplete.errors import (
 from ordercomplete.generators import GeneratorSpec, generate
 from ordercomplete.oracle import brute_lower, brute_upper
 from ordercomplete.poset import (
+    Poset,
     Subset,
     _closure_mask,
     _lower_mask,
@@ -67,6 +68,8 @@ class TestBuildPoset:
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabel):
             build_poset(["a", "a"], [])
+        with pytest.raises(DuplicateLabel):
+            Poset(("a", "a"), (1, 2))
 
     def test_unknown_element_in_pairs(self):
         with pytest.raises(UnknownElement):
