@@ -27,6 +27,7 @@ GOLDEN = {
     "export": "67f935047c642085643d4eec7a4084da72a80d9780ed90a3c0c334eef342ebea",
     "solve": "f1422c7c26083e24f427cbcc578bb940de33045b8ffbccd188778e086edf11e1",
     "gen": "81f00334a267080cb86be79baa99cd0ac2a987eaf0dc539f916a04f91d7f762d",
+    "check": "37304eafc5f5a4da9286f21e6b9a13af0a0113f9d5530a5ff9bbfa53366aac95",
 }
 
 GEN_ARGS = [
@@ -155,6 +156,43 @@ def digest_solve(tmp_path):
     return digest.hexdigest()
 
 
+CHECK_CORPUS_ARGS = [
+    ("cutcalc", "--count", "3"),
+    ("macneille", "--count", "3"),
+    ("closedforms",),
+    ("closedforms", "--count", "2"),
+    ("theorem41", "--count", "3"),
+    ("theorem42", "--count", "3"),
+    ("boundchain", "--count", "5"),
+]
+
+
+def check_inputs():
+    """(name, data, suites) for the ``check --input`` runs."""
+    domain, codomain, mapping = describe(
+        GeneratorSpec(family="gridfn", g=2, v=3, stencil="dilate")
+    )
+    equation = {"domain": {"elements": list(domain)}, "codomain": _poset_data(*codomain), "map": mapping}
+    poset_suites = ("cutcalc", "macneille", "boundchain")
+    return [
+        ("divisor(60)", _family(family="divisor", m=60), poset_suites),
+        ("chain(20)", _family(family="chain", n=20), poset_suites),
+        ("random(12)", _family(family="random", n=12, density=0.3, seed=5), poset_suites),
+        ("gridfn(2,3)", equation, ("theorem41", "theorem42", "closedforms")),
+    ]
+
+
+def digest_check(tmp_path):
+    digest = Digest()
+    for args in CHECK_CORPUS_ARGS:
+        digest.add(" ".join(args), *run_cli(["check", *args]))
+    for name, data, suites in check_inputs():
+        path = _write(tmp_path / "input.json", data)
+        for suite in suites:
+            digest.add(f"{suite} {name}", *run_cli(["check", suite, "--input", path]))
+    return digest.hexdigest()
+
+
 def digest_gen(tmp_path):
     digest = Digest()
     for args in GEN_ARGS:
@@ -167,6 +205,7 @@ DIGESTS = {
     "export": digest_export,
     "solve": digest_solve,
     "gen": digest_gen,
+    "check": digest_check,
 }
 
 
