@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import checks, jsonio
 from .completion import DEFAULT_MAX_CUTS, macneille_completion, to_dot, verify_macneille
-from .errors import InvalidInput, OrderCompletionError, ResourceCap
+from .errors import InvalidInput, OrderCompletionError, ResourceCap, UnknownSuite
 from .generators import GeneratorSpec, describe
 from .mapext import PosetMap
 from .poset import DEFAULT_MAX_ARITY, CarrierSet, has_maximum, has_minimum
@@ -98,23 +98,22 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    poset = None
-    instance = None
+    suite = checks.SUITES.get(args.suite)
+    if suite is None:
+        raise UnknownSuite(f"unknown suite {args.suite!r}")
+    item = None
     if args.input is not None:
-        if args.suite in ("cutcalc", "macneille"):
-            poset = jsonio.poset_from_data(
-                _read_json(args.input), max_arity=args.max_arity
-            )
-        elif args.suite in ("theorem41", "theorem42"):
-            domain, codomain, t = jsonio.equation_from_data(
-                _read_json(args.input), max_arity=args.max_arity
-            )
-            instance = build_equation(domain, codomain, t, max_cuts=args.max_cuts)
-        else:
+        if suite.takes is None:
             raise InvalidInput(f"suite {args.suite!r} does not take --input")
-    ok, lines = checks.run_suite(
-        args.suite, poset=poset, instance=instance, count=args.count
-    )
+        data = _read_json(args.input)
+        if suite.takes == "poset":
+            item = jsonio.poset_from_data(data, max_arity=args.max_arity)
+            # the suites complete the poset themselves; this enforces --max-cuts
+            macneille_completion(item, max_cuts=args.max_cuts)
+        else:
+            domain, codomain, t = jsonio.equation_from_data(data, max_arity=args.max_arity)
+            item = build_equation(domain, codomain, t, max_cuts=args.max_cuts)
+    ok, lines = checks.run_suite(suite, item, args.count)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_FAILED
@@ -134,12 +133,7 @@ def _cmd_gen(args) -> int:
     )
     data = describe(spec)
     if spec.family == "gridfn":
-        domain_labels, codomain, mapping = data
-        payload = {
-            "domain": {"elements": list(domain_labels)},
-            "codomain": jsonio.raw_poset_to_data(*codomain),
-            "map": mapping,
-        }
+        payload = jsonio.raw_equation_to_data(*data)
     else:
         payload = jsonio.raw_poset_to_data(*data)
     _write(jsonio.dumps(payload), args.output)

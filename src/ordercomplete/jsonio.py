@@ -101,10 +101,6 @@ def poset_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> Poset:
     return build_poset(elements, pairs, kind, max_arity=max_arity)
 
 
-def carrier_to_data(carrier: CarrierSet) -> dict:
-    return {"elements": list(carrier.labels)}
-
-
 def carrier_from_data(data: Any) -> CarrierSet:
     data = _expect_dict(data, "carrier set")
     if "elements" not in data:
@@ -141,15 +137,22 @@ def map_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> PosetMap:
     return PosetMap.from_names(source, target, _mapping_from_data(data["map"]))
 
 
-def equation_to_data(domain: CarrierSet, codomain: Poset, t: PosetMap) -> dict:
+def raw_equation_to_data(domain: Sequence[str], codomain: tuple, mapping: dict) -> dict:
+    """The equation file format for unvalidated data, the codomain as
+    (labels, pairs, kind) like ``raw_poset_to_data`` takes it."""
     return {
-        "domain": carrier_to_data(domain),
-        "codomain": poset_to_data(codomain),
-        "map": {
-            name: codomain.labels[t.assignment[i]]
-            for i, name in enumerate(domain.labels)
-        },
+        "domain": {"elements": list(domain)},
+        "codomain": raw_poset_to_data(*codomain),
+        "map": mapping,
     }
+
+
+def equation_to_data(domain: CarrierSet, codomain: Poset, t: PosetMap) -> dict:
+    return raw_equation_to_data(
+        domain.labels,
+        (codomain.labels, cover_relation(codomain), "covers"),
+        {name: codomain.labels[t.assignment[i]] for i, name in enumerate(domain.labels)},
+    )
 
 
 def equation_from_data(

@@ -20,7 +20,7 @@ from .errors import MultipleSolutions, NoBound, ResourceCap
 from .poset import Poset, Subset
 from .solver import EquationInstance
 
-BRUTE_MAX_ARITY = 15
+BRUTE_MAX_ARITY = 16  # boolean(4), a 16-element lattice, is in the check corpus
 
 
 def _members(mask: int) -> list[int]:
@@ -53,11 +53,11 @@ def brute_closure(poset: Poset, mask: int) -> int:
     return brute_lower(poset, brute_upper(poset, mask))
 
 
-def brute_cuts(poset: Poset, max_arity: int = BRUTE_MAX_ARITY) -> list[Subset]:
+def brute_cuts(poset: Poset) -> list[Subset]:
     """All cuts by scanning every one of the 2^n subsets."""
     n = poset.arity
-    if n > max_arity:
-        raise ResourceCap(f"brute enumeration refuses arity {n} > {max_arity}")
+    if n > BRUTE_MAX_ARITY:
+        raise ResourceCap(f"brute enumeration refuses arity {n} > {BRUTE_MAX_ARITY}")
     out = []
     for mask in range(1 << n):
         if brute_closure(poset, mask) == mask:

@@ -256,6 +256,15 @@ class TestSolve:
             assert "cut cap 8" in checked.stderr
             assert run("check", suite, "--input", str(equation)).returncode == 0
 
+    def test_poset_suites_obey_the_cut_cap(self, tmp_path):
+        path = tmp_path / "b3.json"
+        assert run("gen", "--family", "boolean", "--k", "3", "--output", str(path)).returncode == 0
+        for suite in ("cutcalc", "macneille"):
+            capped = run("check", suite, "--input", str(path), "--max-cuts", "4")
+            assert_one_error_line(capped, 3)
+            assert "cut cap 4" in capped.stderr
+            assert run("check", suite, "--input", str(path), "--max-cuts", "8").returncode == 0
+
     def test_report_to_file(self, constant_equation_file, tmp_path):
         target = write_target(tmp_path, {"principal": "p"})
         out = tmp_path / "report.json"
@@ -301,10 +310,28 @@ class TestCheck:
         assert "must be at least 1" in result.stderr
         assert result.stdout == ""
 
-    def test_unknown_suite_exits_2(self):
-        result = run("check", "nonsense")
-        assert result.returncode == 2
-        assert "unknown suite" in result.stderr
+    def test_unknown_suite_exits_2(self, chain_file):
+        for extra in ((), ("--input", str(chain_file))):
+            result = run("check", "nonsense", *extra)
+            assert result.returncode == 2
+            assert "unknown suite" in result.stderr
+
+    def test_search_runs_on_a_16_class_quotient(self, tmp_path):
+        codomain = json.loads(run("gen", "--family", "boolean", "--k", "4").stdout)
+        domain = [f"u{i}" for i in range(16)]
+        equation = tmp_path / "equation.json"
+        equation.write_text(
+            json.dumps(
+                {
+                    "domain": {"elements": domain},
+                    "codomain": codomain,
+                    "map": dict(zip(domain, codomain["elements"])),
+                }
+            )
+        )
+        result = run("check", "theorem41", "--input", str(equation))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("PASS solvability criterion on 1 instances")
 
 
 class TestInternalErrors:

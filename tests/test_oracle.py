@@ -39,10 +39,9 @@ class TestBruteCuts:
         assert len(brute_cuts(poset)) == 1
 
     def test_arity_cap(self):
-        poset = generate(GeneratorSpec("boolean", k=4))
         with pytest.raises(ResourceCap):
-            brute_cuts(poset)
-        assert len(brute_cuts(poset, max_arity=16)) == 16
+            brute_cuts(generate(GeneratorSpec("chain", n=17)))
+        assert len(brute_cuts(generate(GeneratorSpec("boolean", k=4)))) == 16
 
 
 class TestBruteBound:
