@@ -13,12 +13,13 @@ import sys
 from typing import Sequence
 
 from . import checks, jsonio
-from .completion import DEFAULT_MAX_CUTS, macneille_completion, to_dot, verify_macneille
+from .completion import DEFAULT_MAX_CUTS, CompletedPoset, macneille_completion, to_dot
+from .completion import verify_macneille
 from .errors import InvalidInput, OrderCompletionError, ResourceCap, UnknownSuite
 from .generators import GeneratorSpec, describe
 from .mapext import PosetMap
 from .poset import DEFAULT_MAX_ARITY, CarrierSet, has_maximum, has_minimum
-from .solver import build_equation, solve
+from .solver import EquationInstance, build_equation, solve
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -49,9 +50,22 @@ def _write(text: str, path: str | None) -> None:
         raise InvalidInput(f"{path}: {exc.strerror}") from None
 
 
-def _cmd_complete(args) -> int:
+def _load_poset(args) -> CompletedPoset:
+    """The completion of the --input poset, built under both caps."""
     poset = jsonio.poset_from_data(_read_json(args.input), max_arity=args.max_arity)
-    completion = macneille_completion(poset, max_cuts=args.max_cuts)
+    return macneille_completion(poset, max_cuts=args.max_cuts)
+
+
+def _load_equation(args) -> EquationInstance:
+    """The --input equation, built under both caps."""
+    data = _read_json(args.input)
+    domain, codomain, t = jsonio.equation_from_data(data, max_arity=args.max_arity)
+    return build_equation(domain, codomain, t, max_cuts=args.max_cuts)
+
+
+def _cmd_complete(args) -> int:
+    completion = _load_poset(args)
+    poset = completion.parent
     report = verify_macneille(completion)
     payload = {
         "schema_version": jsonio.SCHEMA_VERSION,
@@ -80,18 +94,15 @@ def _cmd_solve(args) -> int:
     if (args.input is None) == (args.map is None):
         raise InvalidInput("solve needs exactly one of --input or --map")
     if args.input is not None:
-        domain, codomain, t = jsonio.equation_from_data(
-            _read_json(args.input), max_arity=args.max_arity
-        )
+        instance = _load_equation(args)
     else:
         # a bare map poses the same problem: its source carrier is the
         # domain, any order on it is ignored
         mapping = jsonio.map_from_data(_read_json(args.map), max_arity=args.max_arity)
         domain = CarrierSet(mapping.source.labels)
-        codomain = mapping.target
-        t = PosetMap(domain, codomain, mapping.assignment)
-    instance = build_equation(domain, codomain, t, max_cuts=args.max_cuts)
-    target = jsonio.target_from_data(_read_json(args.target), codomain)
+        t = PosetMap(domain, mapping.target, mapping.assignment)
+        instance = build_equation(domain, mapping.target, t, max_cuts=args.max_cuts)
+    target = jsonio.target_from_data(_read_json(args.target), instance.codomain)
     report = solve(instance, target)
     _write(jsonio.dumps(jsonio.solve_report_to_data(report)), args.output)
     return EXIT_OK if report.solvable else EXIT_FAILED
@@ -105,14 +116,7 @@ def _cmd_check(args) -> int:
     if args.input is not None:
         if suite.takes is None:
             raise InvalidInput(f"suite {args.suite!r} does not take --input")
-        data = _read_json(args.input)
-        if suite.takes == "poset":
-            item = jsonio.poset_from_data(data, max_arity=args.max_arity)
-            # the suites complete the poset themselves; this enforces --max-cuts
-            macneille_completion(item, max_cuts=args.max_cuts)
-        else:
-            domain, codomain, t = jsonio.equation_from_data(data, max_arity=args.max_arity)
-            item = build_equation(domain, codomain, t, max_cuts=args.max_cuts)
+        item = _load_poset(args) if suite.takes == "poset" else _load_equation(args)
     ok, lines = checks.run_suite(suite, item, args.count)
     for line in lines:
         print(line)
@@ -141,9 +145,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    poset = jsonio.poset_from_data(_read_json(args.input), max_arity=args.max_arity)
-    completion = macneille_completion(poset, max_cuts=args.max_cuts)
-    _write(to_dot(completion), args.output)
+    _write(to_dot(_load_poset(args)), args.output)
     return EXIT_OK
 
 

@@ -38,7 +38,6 @@ from .poset import (
     _require_same_parent,
     _upper_mask,
     has_maximum,
-    has_minimum,
 )
 
 DEFAULT_MAX_CUTS = 4096
@@ -224,10 +223,6 @@ class MacNeilleReport:
     """
 
     embedding_ok: bool
-    cut_count: int
-    empty_set_is_cut: bool
-    has_minimum: bool
-    has_maximum: bool
     exhaustive: bool
     inf_side_empty: tuple[str, ...]
     failures: tuple[str, ...]
@@ -238,13 +233,15 @@ class MacNeilleReport:
 
 
 def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
-    """Check that x -> D_x is an order embedding keeping existing bounds.
+    """Check that the embedding x -> D_x keeps existing bounds.
 
     Completeness needs no check here: ``CompletedPoset`` certifies that
     it lists exactly the cuts, so sups and infs of arbitrary cut
     families exist in it.  Density holds for every cut C: C is a
     down-set, so the union of the D_x with x in C is C, and the
-    intersection of the D_x with x in C^u is C^ul = C.
+    intersection of the D_x with x in C^u is C^ul = C.  The ``Poset``
+    axioms make x -> D_x an order embedding: x <= y exactly when D_x is
+    contained in D_y, and D_x = D_y only when x = y.
 
     The embedding keeps every sup and inf that exists, and this needs no
     scan of element subsets.  If S has the sup s, so S^u = U_s (the
@@ -254,40 +251,21 @@ def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
     (D_x)^u = U_x and (U_x)^l = D_x for each x suffices (MacNeille,
     *Partially ordered sets*, Trans. AMS 42, 1937; Davey & Priestley,
     *Introduction to Lattices and Order*, 2nd ed., 2002, ch. 7).  The
-    check is exact and O(n^2) for n elements, so ``exhaustive`` is
-    always true.
+    check is exact and takes 2n kernel calls for n elements, so
+    ``exhaustive`` is always true.
     """
     poset = completion.parent
-    failures: list[str] = []
-    embedding_ok = True
-    principal = poset.down_masks
-    if len(set(principal)) != poset.arity:
-        embedding_ok = False
-        failures.append("embedding is not injective")
-    for i in range(poset.arity):
-        for j in range(poset.arity):
-            if poset.leq_index(i, j) != (principal[i] & ~principal[j] == 0):
-                embedding_ok = False
-                failures.append(
-                    f"embedding does not reflect order on "
-                    f"{poset.labels[i]!r}, {poset.labels[j]!r}"
-                )
+    failures = []
     for x in range(poset.arity):
-        up = poset.up_masks[x]
-        if _upper_mask(poset, principal[x]) != up or _lower_mask(poset, up) != principal[x]:
-            embedding_ok = False
+        down, up = poset.down_masks[x], poset.up_masks[x]
+        if _upper_mask(poset, down) != up or _lower_mask(poset, up) != down:
             failures.append(f"principal sets of {poset.labels[x]!r} are not mutual bounds")
-
     # a proper cut C has C^u nonempty, since otherwise C = C^ul is the
     # full carrier; the full carrier has an element above it exactly
     # when there is a maximum
     top = has_maximum(poset)
     return MacNeilleReport(
-        embedding_ok=embedding_ok,
-        cut_count=completion.cut_count,
-        empty_set_is_cut=completion.empty_set_is_cut,
-        has_minimum=has_minimum(poset),
-        has_maximum=top,
+        embedding_ok=not failures,
         exhaustive=True,
         inf_side_empty=() if top else (cut_label(poset, poset.full_mask),),
         failures=tuple(failures[:8]),

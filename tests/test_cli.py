@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -332,6 +333,57 @@ class TestCheck:
         result = run("check", "theorem41", "--input", str(equation))
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("PASS solvability criterion on 1 instances")
+
+
+    def test_macneille_names_the_posets_it_did_not_scan(self, chain_file, tmp_path, capsys):
+        chain17 = tmp_path / "chain17.json"
+        assert cli.main(["gen", "--family", "chain", "--n", "17", "--output", str(chain17)]) == 0
+        expected = {
+            chain_file: "PASS macneille on 1 posets\n",
+            chain17: "PASS macneille on 1 posets (1 over 16 elements not scanned exhaustively)\n",
+        }
+        capsys.readouterr()
+        for path, line in expected.items():
+            assert cli.main(["check", "macneille", "--input", str(path)]) == 0
+            assert capsys.readouterr().out == line
+
+
+def _record_max_cuts(monkeypatch, module, name, calls):
+    """Append the ``max_cuts`` of every call of ``module.name`` to ``calls``."""
+    real = getattr(module, name)
+    signature = inspect.signature(real)
+
+    def recorded(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments["max_cuts"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+class TestBuildOnce:
+    """Each command builds its --input once, under the caps it was given."""
+
+    def test_poset_input_is_completed_once(self, chain_file, monkeypatch):
+        calls = []
+        for module in (cli, checks):
+            _record_max_cuts(monkeypatch, module, "macneille_completion", calls)
+        for command in (["complete"], ["export"], ["check", "cutcalc"], ["check", "macneille"]):
+            calls.clear()
+            assert cli.main([*command, "--input", str(chain_file), "--max-cuts", "7"]) == 0
+            assert calls == [7], command
+
+    def test_equation_input_is_built_once(self, constant_equation_file, tmp_path, monkeypatch):
+        calls = []
+        _record_max_cuts(monkeypatch, cli, "build_equation", calls)
+        target = write_target(tmp_path, {"principal": "p"})
+        equation = ("--input", str(constant_equation_file), "--max-cuts", "7")
+        solve = ["solve", "--target", str(target)]
+        for command in (solve, ["check", "theorem41"], ["check", "theorem42"]):
+            calls.clear()
+            assert cli.main([*command, *equation]) == 0
+            assert calls == [7], command
 
 
 class TestInternalErrors:

@@ -331,13 +331,10 @@ class TestVerification:
 
     def test_report_surfaces_context(self):
         report = verify_macneille(macneille_completion(antichain(2)))
-        assert report.empty_set_is_cut
-        assert not report.has_minimum and not report.has_maximum
         # the full carrier has no dominating element, so its inf-side
         # family is empty; the convention still makes the equality hold
         assert report.inf_side_empty == ("{a0,a1}",)
         chain_report = verify_macneille(macneille_completion(chain3()))
-        assert not chain_report.empty_set_is_cut
         assert chain_report.inf_side_empty == ()
 
     def test_missing_middle_cut_is_named(self):
@@ -401,8 +398,9 @@ class TestVerification:
             return mask if mask == union else kernel(poset, mask)
 
         monkeypatch.setattr(checks, "_closure_mask", faulty)
-        assert verify_macneille(macneille_completion(p)).all_ok
-        fails = checks.check_completion("diamond", p)
+        completion = macneille_completion(p)
+        assert verify_macneille(completion).all_ok
+        fails = checks.check_completion("diamond", completion)
         assert "diamond: embedding loses the supremum of {p,q}" in fails
 
 
@@ -434,9 +432,8 @@ class TestValidateOnce:
         assert CompletedPoset(c.parent, c.cut_masks, c.embedding) == c
 
     def test_public_constructor_accepts_corpus(self):
-        for name, p in checks.corpus_posets(200):
-            c = macneille_completion(p)
-            assert CompletedPoset(p, c.cut_masks, c.embedding) == c, name
+        for name, c in checks.corpus_posets(200):
+            assert CompletedPoset(c.parent, c.cut_masks, c.embedding) == c, name
 
     @given(posets(max_n=12))
     def test_public_constructor_accepts_random(self, poset):
@@ -464,8 +461,8 @@ class TestValidateOnce:
                     assert cut == Cut(cut.parent, cut.mask)
 
     def test_inf_side_empty_matches_the_per_cut_scan(self):
-        for name, p in checks.corpus_posets(200):
-            c = macneille_completion(p)
+        for name, c in checks.corpus_posets(200):
+            p = c.parent
             # the cuts below no principal down-set
             scan = tuple(
                 cut_label(p, m)
@@ -501,7 +498,7 @@ class TestValidateOnce:
             return CompletedPoset(poset, cut_masks[:-1], embedding)
 
         monkeypatch.setattr(checks, "CompletedPoset", without_top)
-        fails = checks.check_completion("pair", antichain(2))
+        fails = checks.check_completion("pair", macneille_completion(antichain(2)))
         assert "pair: completion rejected: completion misses the cut {a0,a1}" in fails
 
 

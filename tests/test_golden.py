@@ -8,13 +8,23 @@ raw generator data and from the relation rows of the seeded equations,
 not through ``jsonio``, so they do not move with the code under test.
 
 A digest may only change together with a deliberate, documented output
-change.
+change.  To show such a change, dump every run of the parent and of the
+change and compare the two directories with ``diff -r``::
+
+    PYTHONPATH=src python tests/test_golden.py DIR
+
+writes one file per run (its name, exit code, stdout and side file)
+under ``DIR/<command>/``.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +37,7 @@ GOLDEN = {
     "export": "67f935047c642085643d4eec7a4084da72a80d9780ed90a3c0c334eef342ebea",
     "solve": "f1422c7c26083e24f427cbcc578bb940de33045b8ffbccd188778e086edf11e1",
     "gen": "81f00334a267080cb86be79baa99cd0ac2a987eaf0dc539f916a04f91d7f762d",
-    "check": "37304eafc5f5a4da9286f21e6b9a13af0a0113f9d5530a5ff9bbfa53366aac95",
+    "check": "c647b377e4abe630641458f7a0cee34f71faf8d98490fb53f1575ba1b7814a46",
 }
 
 GEN_ARGS = [
@@ -121,39 +131,50 @@ class Digest:
         return self._hash.hexdigest()
 
 
+class Dump:
+    """Writes each run that a Digest would hash to a numbered file."""
+
+    def __init__(self, directory):
+        self._directory = directory
+        self._directory.mkdir(parents=True)
+        self._count = 0
+
+    def add(self, name, code, stdout, side=""):
+        text = f"name: {name}\nexit: {code}\n--- stdout\n{stdout}"
+        if side:
+            text += f"--- side\n{side}"
+        safe = re.sub(r"[^\w().,=:+-]+", "_", name)
+        (self._directory / f"{self._count:04d}_{safe}").write_text(text, encoding="utf-8")
+        self._count += 1
+
+
 def _write(path, data):
     path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
     return str(path)
 
 
-def digest_complete(tmp_path):
-    digest = Digest()
+def run_complete(tmp_path, sink):
     dot = tmp_path / "out.dot"
     for name, data in poset_corpus():
         path = _write(tmp_path / "poset.json", data)
         code, stdout = run_cli(["complete", "--input", path, "--emit-dot", str(dot)])
-        digest.add(name, code, stdout, dot.read_text(encoding="utf-8"))
+        sink.add(name, code, stdout, dot.read_text(encoding="utf-8"))
         dot.unlink()
-    return digest.hexdigest()
 
 
-def digest_export(tmp_path):
-    digest = Digest()
+def run_export(tmp_path, sink):
     for name, data in poset_corpus():
         path = _write(tmp_path / "poset.json", data)
-        digest.add(name, *run_cli(["export", "--input", path]))
-    return digest.hexdigest()
+        sink.add(name, *run_cli(["export", "--input", path]))
 
 
-def digest_solve(tmp_path):
-    digest = Digest()
+def run_solve(tmp_path, sink):
     for seed, data, codomain in equation_corpus():
         equation = _write(tmp_path / "equation.json", data)
         for cut in brute_cuts(codomain):
             target = _write(tmp_path / "target.json", {"cut": list(cut.names())})
             code, stdout = run_cli(["solve", "--input", equation, "--target", target])
-            digest.add(f"{seed}:{cut.mask}", code, stdout)
-    return digest.hexdigest()
+            sink.add(f"{seed}:{cut.mask}", code, stdout)
 
 
 CHECK_CORPUS_ARGS = [
@@ -182,36 +203,34 @@ def check_inputs():
     ]
 
 
-def digest_check(tmp_path):
-    digest = Digest()
+def run_check(tmp_path, sink):
     for args in CHECK_CORPUS_ARGS:
-        digest.add(" ".join(args), *run_cli(["check", *args]))
+        sink.add(" ".join(args), *run_cli(["check", *args]))
     for name, data, suites in check_inputs():
         path = _write(tmp_path / "input.json", data)
         for suite in suites:
-            digest.add(f"{suite} {name}", *run_cli(["check", suite, "--input", path]))
-    return digest.hexdigest()
+            sink.add(f"{suite} {name}", *run_cli(["check", suite, "--input", path]))
 
 
-def digest_gen(tmp_path):
-    digest = Digest()
+def run_gen(tmp_path, sink):
     for args in GEN_ARGS:
-        digest.add(" ".join(args), *run_cli(["gen", *args]))
-    return digest.hexdigest()
+        sink.add(" ".join(args), *run_cli(["gen", *args]))
 
 
-DIGESTS = {
-    "complete": digest_complete,
-    "export": digest_export,
-    "solve": digest_solve,
-    "gen": digest_gen,
-    "check": digest_check,
+RUNS = {
+    "complete": run_complete,
+    "export": run_export,
+    "solve": run_solve,
+    "gen": run_gen,
+    "check": run_check,
 }
 
 
-@pytest.mark.parametrize("command", list(DIGESTS))
+@pytest.mark.parametrize("command", list(RUNS))
 def test_golden_digest(command, tmp_path):
-    assert DIGESTS[command](tmp_path) == GOLDEN[command]
+    digest = Digest()
+    RUNS[command](tmp_path, digest)
+    assert digest.hexdigest() == GOLDEN[command]
 
 
 def test_corpus_runs_succeed(tmp_path):
@@ -229,3 +248,11 @@ def test_corpus_runs_succeed(tmp_path):
     assert codes == {0, 1}
     for args in GEN_ARGS:
         assert run_cli(["gen", *args])[0] == 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py DIR")
+    with tempfile.TemporaryDirectory() as scratch:
+        for command, runs in RUNS.items():
+            runs(Path(scratch), Dump(Path(sys.argv[1]) / command))
