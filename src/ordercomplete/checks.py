@@ -9,7 +9,11 @@ Each check returns a list of failure strings (empty means pass) so that
 both the `check` command and the test suite can share them.  Subset- and
 family-indexed checks run exhaustively up to the documented thresholds
 and fall back to seeded deterministic samples beyond, so a fixed corpus
-always produces the same verdict.
+always produces the same verdict.  The samples have fixed sizes: the
+family sup and inf, checked once against the oracle's bound scan in
+``check_completion``, see at most 2 + 2 * BOUND_SCAN_SAMPLE families, and
+the least-cut test at most BOUND_SCAN_SAMPLE cuts per mask, so a poset's
+check work grows about linearly in its cut count.
 
 Note on the full-carrier equivalence: on a carrier with a minimum, the
 set of upper bounds of {minimum} is everything, so the textbook
@@ -55,14 +59,16 @@ from .solver import EquationInstance, global_character, solve
 EXHAUSTIVE_MASKS = 4096  # all subsets when 2^count fits
 EXHAUSTIVE_PAIRS = 19683  # all subset pairs when 3^arity fits
 FAMILY_SAMPLE = 256
-BOUND_SCAN_SAMPLE = 64  # families checked against the oracle's bound scan
+BOUND_SCAN_SAMPLE = 64  # oracle bound scan families; cuts per least-cut test
 
 
 def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[tuple[int, ...]]:
     """All index subsets when 2^count fits EXHAUSTIVE_MASKS, a fixed sample otherwise.
 
-    The sample always contains the empty family, the full family and all
-    singletons, topped up with ``sample_budget`` seeded random families.
+    The sample holds the empty family, the full family, every singleton
+    while ``count <= sample_budget`` (else a seeded ``sample_budget`` of
+    them), then ``sample_budget`` seeded random families: at most
+    2 + 2 * sample_budget families, whatever the count.
     """
     if 1 << count <= EXHAUSTIVE_MASKS:
         for mask in range(1 << count):
@@ -70,9 +76,12 @@ def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[
         return
     yield ()
     yield tuple(range(count))
-    for i in range(count):
-        yield (i,)
     rng = random.Random(seed)
+    singles = range(count)
+    if count > sample_budget:
+        singles = sorted(rng.sample(singles, sample_budget))
+    for i in singles:
+        yield (i,)
     for _ in range(sample_budget):
         size = rng.randint(1, count)
         yield tuple(sorted(rng.sample(range(count), size)))
@@ -208,6 +217,8 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
 
     cuts = completion.cut_masks
     cut_set = set(cuts)
+    if len(cuts) > BOUND_SCAN_SAMPLE:
+        cuts = random.Random(2).sample(cuts, BOUND_SCAN_SAMPLE)
 
     # closures are least cuts
     def least_cut_violation() -> str | None:
@@ -215,13 +226,9 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
             ul = lower(upper(m))
             if ul not in cut_set:
                 return f"{name}: closure of {m:#x} is not a cut"
-            if lower(upper(ul)) != ul:
-                return f"{name}: closure is not idempotent on {m:#x}"
             for c in cuts:
                 if m & ~c == 0 and ul & ~c:
                     return f"{name}: closure of {m:#x} is not least above it"
-                if c & ~m == 0 and c & ~ul:
-                    return f"{name}: cut below {m:#x} escapes the closure"
         return None
 
     violation = least_cut_violation()
@@ -239,33 +246,6 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
                 union |= down[x]
         if lower(upper(m)) != lower(upper(union)):
             fails.append(f"{name}: closure is not the sup of embedded members on {m:#x}")
-            break
-
-    # family sup and inf in the cut lattice
-    k = len(cuts)
-    for indices in _iter_index_families(k, 2, FAMILY_SAMPLE):
-        union = 0
-        meet = full
-        for i in indices:
-            union |= cuts[i]
-            meet &= cuts[i]
-        sup_mask = lower(upper(union))
-        containing = full
-        for c in cuts:
-            if union & ~c == 0:
-                containing &= c
-        if containing not in cut_set or containing != sup_mask:
-            fails.append(f"{name}: family sup is not the meet of covers on {indices}")
-            break
-        if meet not in cut_set:
-            fails.append(f"{name}: family intersection is not a cut on {indices}")
-            break
-        contained = 0
-        for c in cuts:
-            if c & ~meet == 0:
-                contained |= c
-        if lower(upper(contained)) != meet:
-            fails.append(f"{name}: family inf is not the join of cuts below on {indices}")
             break
 
     return fails

@@ -1,3 +1,7 @@
+import faulthandler
+import os
+
+import pytest
 from hypothesis import settings, strategies as st
 
 from ordercomplete.completion import Cut
@@ -5,6 +9,26 @@ from ordercomplete.poset import Poset, build_poset
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+_TERMINAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # pytest captures fd 2 during each test, and the guard below exits the
+    # process, so it writes to a copy of the terminal's stderr taken here
+    config.stash[_TERMINAL_STDERR] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(request):
+    """A test still running after two minutes is taken as hung: dump every
+    thread's traceback and exit, so a looping kernel fails the run instead
+    of stalling it."""
+    stderr = request.config.stash[_TERMINAL_STDERR]
+    faulthandler.dump_traceback_later(120, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @st.composite

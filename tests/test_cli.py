@@ -8,6 +8,8 @@ import pytest
 from ordercomplete import checks, cli
 from ordercomplete.errors import MultipleSolutions, OrderCompletionError
 
+from test_golden import _standard
+
 CMD = [sys.executable, "-m", "ordercomplete"]
 
 
@@ -346,6 +348,14 @@ class TestCheck:
         for path, line in expected.items():
             assert cli.main(["check", "macneille", "--input", str(path)]) == 0
             assert capsys.readouterr().out == line
+
+    def test_poset_suites_finish_on_2048_cuts(self, tmp_path):
+        path = tmp_path / "s11.json"
+        path.write_text(json.dumps(_standard(11)))
+        for suite in ("cutcalc", "macneille"):
+            result = run("check", suite, "--input", str(path), "--max-arity", "22")
+            assert result.returncode == 0, result.stdout
+            assert result.stdout.startswith(f"PASS {suite} on 1 posets")
 
 
 def _record_max_cuts(monkeypatch, module, name, calls):

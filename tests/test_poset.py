@@ -84,6 +84,15 @@ class TestBuildPoset:
         with pytest.raises(NotAPartialOrder):
             build_poset(["a", "b", "c"], pairs, kind="full")
 
+    def test_full_relation_must_be_antisymmetric(self):
+        pairs = [("a", "a"), ("b", "b"), ("c", "c"), ("b", "c"), ("c", "b")]
+        with pytest.raises(NotAPartialOrder, match="not antisymmetric on 'b', 'c'"):
+            build_poset(["a", "b", "c"], pairs, kind="full")
+
+    def test_relation_row_past_the_carrier(self):
+        with pytest.raises(NotAPartialOrder, match="relation references unknown elements"):
+            Poset(("a",), (0b11,))
+
     def test_full_relation_accepted(self):
         pairs = [("a", "a"), ("b", "b"), ("a", "b")]
         p = build_poset(["a", "b"], pairs, kind="full")
