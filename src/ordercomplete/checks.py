@@ -42,7 +42,7 @@ from .completion import (
     verify_macneille,
 )
 from .errors import InvalidCut, NotIncreasing
-from .generators import GeneratorSpec, generate, random_equation
+from .generators import GeneratorSpec, _random_pairs, generate, random_equation
 from .mapext import PosetMap, check_bound_chain, extension_cut_map, is_increasing, is_oie
 from .oracle import (
     BRUTE_MAX_ARITY,
@@ -241,9 +241,8 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     # closure equals the sup of the embedded members
     for m in masks:
         union = 0
-        for x in range(n):
-            if (m >> x) & 1:
-                union |= down[x]
+        for x in _mask_members(m):
+            union |= down[x]
         if lower(upper(m)) != lower(upper(union)):
             fails.append(f"{name}: closure is not the sup of embedded members on {m:#x}")
             break
@@ -424,13 +423,7 @@ def bound_chain_fixture(seed: int) -> tuple[CompletedPoset, PosetMap, tuple[int,
     def small_poset(prefix: str) -> Poset:
         n = rng.randint(2, 5)
         labels = tuple(f"{prefix}{i}" for i in range(n))
-        pairs = [
-            (labels[i], labels[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.4
-        ]
-        return build_poset(labels, pairs, "covers")
+        return build_poset(labels, _random_pairs(rng, labels, 0.4), "covers")
 
     source_poset = small_poset("s")
     target_poset = small_poset("t")

@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 from . import checks, jsonio
 from .completion import DEFAULT_MAX_CUTS, CompletedPoset, macneille_completion, to_dot
 from .completion import verify_macneille
 from .errors import InvalidInput, OrderCompletionError, ResourceCap, UnknownSuite
-from .generators import GeneratorSpec, describe
+from .generators import STENCILS, GeneratorSpec, describe
 from .mapext import PosetMap
 from .poset import DEFAULT_MAX_ARITY, CarrierSet, has_maximum, has_minimum
 from .solver import EquationInstance, build_equation, solve
@@ -124,17 +125,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    spec = GeneratorSpec(
-        family=args.family,
-        n=args.n,
-        k=args.k,
-        m=args.m,
-        density=args.density,
-        seed=args.seed,
-        g=args.g,
-        v=args.v,
-        stencil=args.stencil,
-    )
+    # every spec field is a gen option of the same name
+    spec = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)})
     data = describe(spec)
     if spec.family == "gridfn":
         payload = jsonio.raw_equation_to_data(*data)
@@ -205,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--g", type=int)
     p.add_argument("--v", type=int)
-    p.add_argument("--stencil", choices=("identity", "dilate", "erode"))
+    p.add_argument("--stencil", choices=STENCILS)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_gen)
 

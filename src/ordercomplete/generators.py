@@ -20,11 +20,10 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import BadSpec, ResourceCap
-from .poset import CarrierSet, Poset, build_poset
+from .poset import DEFAULT_MAX_ARITY, CarrierSet, Poset, _mask_members, build_poset
 from .mapext import PosetMap
 from .solver import EquationInstance, build_equation
 
-ELEMENT_CAP = 4096
 DIVISOR_MAX_M = 10**12  # the divisor scan takes isqrt(m) steps before the element cap
 _LETTERS = "abcdefghijkl"
 STENCILS = ("identity", "dilate", "erode")
@@ -54,15 +53,27 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _cap(count: int, what: str) -> None:
-    if count > ELEMENT_CAP:
-        raise ResourceCap(f"{what} would have {count} elements, cap is {ELEMENT_CAP}")
+    """Refuse what every reading command would refuse at its default arity cap."""
+    if count > DEFAULT_MAX_ARITY:
+        raise ResourceCap(f"{what} would have {count} elements, cap is {DEFAULT_MAX_ARITY}")
 
 
 def _cap_power(base: int, exponent: int, what: str) -> None:
     """``_cap(base**exponent)`` for base >= 2, without building a huge power."""
-    if exponent >= ELEMENT_CAP.bit_length():  # then base**exponent > ELEMENT_CAP
-        raise ResourceCap(f"{what} would have {base}**{exponent} elements, cap is {ELEMENT_CAP}")
+    if exponent >= DEFAULT_MAX_ARITY.bit_length():  # then base**exponent > the cap
+        raise ResourceCap(
+            f"{what} would have {base}**{exponent} elements, cap is {DEFAULT_MAX_ARITY}"
+        )
     _cap(base**exponent, what)
+
+
+def _random_pairs(rng: random.Random, labels: tuple[str, ...], density: float) -> list:
+    """Each pair (labels[i], labels[j]) with i < j, kept when its draw from
+    ``rng`` is below ``density``; one draw per pair, in row order."""
+    n = len(labels)
+    return [
+        (labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+    ]
 
 
 def chain_data(n: int) -> PosetData:
@@ -82,7 +93,7 @@ def antichain_data(n: int) -> PosetData:
 def _boolean_label(mask: int) -> str:
     if mask == 0:
         return "0"
-    return "".join(_LETTERS[i] for i in range(mask.bit_length()) if (mask >> i) & 1)
+    return "".join(_LETTERS[i] for i in _mask_members(mask))
 
 
 def boolean_data(k: int) -> PosetData:
@@ -117,13 +128,7 @@ def random_data(n: int, density: float, seed: int) -> PosetData:
     _require(0.0 <= density <= 1.0, "density must lie in [0, 1]")
     _cap(n, "random poset")
     labels = tuple(f"v{i}" for i in range(n))
-    rng = random.Random(seed)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < density:
-                pairs.append((labels[i], labels[j]))
-    return labels, pairs, "covers"
+    return labels, _random_pairs(random.Random(seed), labels, density), "covers"
 
 
 def _grid_label(point: tuple[int, ...]) -> str:
@@ -161,8 +166,8 @@ def gridfn_data(g: int, v: int, stencil: str) -> EquationData:
 def describe(spec: GeneratorSpec) -> Union[PosetData, EquationData]:
     """Raw structure of an instance, without building or validating it.
 
-    Used by the CLI to emit large instances cheaply; ``generate`` builds
-    the same data into validated values.
+    Used by the CLI to emit instances without validating them; ``generate``
+    builds the same data into validated values.
     """
     family = spec.family
     if family == "chain":
@@ -195,12 +200,12 @@ def generate(spec: GeneratorSpec) -> Union[Poset, EquationInstance]:
     data = describe(spec)
     if spec.family == "gridfn":
         domain_labels, (labels, pairs, kind), mapping = data
-        codomain = build_poset(labels, pairs, kind, max_arity=ELEMENT_CAP)
+        codomain = build_poset(labels, pairs, kind)
         domain = CarrierSet(domain_labels)
         t = PosetMap.from_names(domain, codomain, mapping)
         return build_equation(domain, codomain, t)
     labels, pairs, kind = data
-    return build_poset(labels, pairs, kind, max_arity=ELEMENT_CAP)
+    return build_poset(labels, pairs, kind)
 
 
 def random_equation(seed: int) -> EquationInstance:
@@ -209,12 +214,7 @@ def random_equation(seed: int) -> EquationInstance:
     ny = rng.randint(2, 6)
     density = rng.uniform(0.1, 0.7)
     ylabels = tuple(f"y{i}" for i in range(ny))
-    pairs = []
-    for i in range(ny):
-        for j in range(i + 1, ny):
-            if rng.random() < density:
-                pairs.append((ylabels[i], ylabels[j]))
-    codomain = build_poset(ylabels, pairs, "covers")
+    codomain = build_poset(ylabels, _random_pairs(rng, ylabels, density), "covers")
     nx = rng.randint(1, 6)
     domain = CarrierSet(tuple(f"x{i}" for i in range(nx)))
     mapping = {name: ylabels[rng.randrange(ny)] for name in domain.labels}

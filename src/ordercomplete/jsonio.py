@@ -10,6 +10,7 @@ byte-equal outputs.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any, Iterable, Sequence
 
 from .completion import CompletedPoset
@@ -43,9 +44,13 @@ def _expect_list_of_strings(value: Any, where: str) -> list[str]:
     return value
 
 
-def _expect_dict(value: Any, where: str) -> dict:
+def _expect_dict(value: Any, where: str, *keys: str) -> dict:
+    """``value`` as an object holding every one of ``keys``."""
     if not isinstance(value, dict):
         raise SchemaError(f"{where} must be an object")
+    for key in keys:
+        if key not in value:
+            raise SchemaError(f"{where} is missing {key!r}")
     return value
 
 
@@ -78,10 +83,7 @@ def poset_to_data(poset: Poset) -> dict:
 
 
 def poset_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> Poset:
-    data = _expect_dict(data, "poset")
-    for key in ("elements", "relation", "relation_kind"):
-        if key not in data:
-            raise SchemaError(f"poset is missing {key!r}")
+    data = _expect_dict(data, "poset", "elements", "relation", "relation_kind")
     elements = _expect_list_of_strings(data["elements"], "elements")
     kind = data["relation_kind"]
     if kind not in ("covers", "full"):
@@ -102,9 +104,7 @@ def poset_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> Poset:
 
 
 def carrier_from_data(data: Any) -> CarrierSet:
-    data = _expect_dict(data, "carrier set")
-    if "elements" not in data:
-        raise SchemaError("carrier set is missing 'elements'")
+    data = _expect_dict(data, "carrier set", "elements")
     return CarrierSet(tuple(_expect_list_of_strings(data["elements"], "elements")))
 
 
@@ -128,10 +128,7 @@ def _mapping_from_data(data: Any) -> dict[str, str]:
 
 
 def map_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> PosetMap:
-    data = _expect_dict(data, "map")
-    for key in ("source", "target", "map"):
-        if key not in data:
-            raise SchemaError(f"map is missing {key!r}")
+    data = _expect_dict(data, "map", "source", "target", "map")
     source = source_from_data(data["source"], max_arity)
     target = poset_from_data(data["target"], max_arity)
     return PosetMap.from_names(source, target, _mapping_from_data(data["map"]))
@@ -158,10 +155,7 @@ def equation_to_data(domain: CarrierSet, codomain: Poset, t: PosetMap) -> dict:
 def equation_from_data(
     data: Any, max_arity: int = DEFAULT_MAX_ARITY
 ) -> tuple[CarrierSet, Poset, PosetMap]:
-    data = _expect_dict(data, "equation")
-    for key in ("domain", "codomain", "map"):
-        if key not in data:
-            raise SchemaError(f"equation is missing {key!r}")
+    data = _expect_dict(data, "equation", "domain", "codomain", "map")
     domain = carrier_from_data(data["domain"])
     codomain = poset_from_data(data["codomain"], max_arity)
     t = PosetMap.from_names(domain, codomain, _mapping_from_data(data["map"]))
@@ -197,7 +191,7 @@ def completed_to_data(completion: CompletedPoset) -> dict:
 
 
 def solve_report_to_data(report: SolveReport) -> dict:
-    flags = report.assumption_flags
+    # the field order of each flags dataclass is its JSON key order
     return {
         "schema_version": SCHEMA_VERSION,
         "target": subset_to_data(report.target),
@@ -207,16 +201,6 @@ def solve_report_to_data(report: SolveReport) -> dict:
         "inf_of_images": subset_to_data(report.inf_of_images),
         "lower_family": [subset_to_data(c) for c in report.lower_family],
         "upper_family": [subset_to_data(c) for c in report.upper_family],
-        "empty_family_flags": {
-            "lower": report.empty_family_flags.lower,
-            "upper": report.empty_family_flags.upper,
-        },
-        "assumption_flags": {
-            "quotient_has_minimum": flags.quotient_has_minimum,
-            "quotient_has_maximum": flags.quotient_has_maximum,
-            "codomain_has_minimum": flags.codomain_has_minimum,
-            "codomain_has_maximum": flags.codomain_has_maximum,
-            "empty_set_in_quotient_completion": flags.empty_set_in_quotient_completion,
-            "empty_set_in_codomain_completion": flags.empty_set_in_codomain_completion,
-        },
+        "empty_family_flags": asdict(report.empty_family_flags),
+        "assumption_flags": asdict(report.assumption_flags),
     }

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ordercomplete import checks, cli
+from ordercomplete import checks, cli, jsonio
 from ordercomplete.errors import MultipleSolutions, OrderCompletionError
 
 from test_golden import _standard
@@ -119,8 +119,10 @@ class TestComplete:
         assert dot.read_text().startswith("digraph completion {")
 
     def test_arity_cap_exits_3(self, tmp_path):
+        assert_one_error_line(run("gen", "--family", "antichain", "--n", "30"), 3)
         path = tmp_path / "big.json"
-        run("gen", "--family", "antichain", "--n", "30", "--output", str(path))
+        labels = [f"a{i}" for i in range(30)]
+        path.write_text(json.dumps(jsonio.raw_poset_to_data(labels, [], "covers")))
         result = run("complete", "--input", str(path))
         assert result.returncode == 3
         assert run("complete", "--input", str(path), "--max-arity", "30").returncode == 0

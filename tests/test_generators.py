@@ -1,4 +1,6 @@
+import json
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -13,7 +15,7 @@ from ordercomplete.generators import (
     random_equation,
 )
 from ordercomplete.mapext import PosetMap, is_increasing, is_oie
-from ordercomplete.poset import has_maximum, has_minimum
+from ordercomplete.poset import DEFAULT_MAX_ARITY, has_maximum, has_minimum
 from ordercomplete.solver import EquationInstance, global_character
 
 from conftest import leq
@@ -47,16 +49,24 @@ class TestFamilies:
 
     def test_divisor_matches_trial_division(self):
         for m in range(1, 501):
-            labels, _, _ = divisor_data(m)
-            assert labels == tuple(str(d) for d in range(1, m + 1) if m % d == 0)
+            expected = tuple(str(d) for d in range(1, m + 1) if m % d == 0)
+            if len(expected) <= DEFAULT_MAX_ARITY:
+                assert divisor_data(m)[0] == expected
+            else:
+                with pytest.raises(ResourceCap):
+                    divisor_data(m)
 
     def test_divisor_of_large_m_is_fast(self):
+        m = 999983 * 1000003  # two primes near 10**6: the scan runs to isqrt(m)
         start = time.perf_counter()
-        labels, _, _ = divisor_data(10**12)
+        labels, _, _ = divisor_data(m)
         assert time.perf_counter() - start < 1.0
-        assert len(labels) == 169 and labels[-1] == str(10**12)
-        with pytest.raises(ResourceCap):
-            divisor_data(10**12 + 1)
+        assert labels == ("1", "999983", "1000003", str(m))
+        for too_big in (10**12, 10**12 + 1):  # 169 divisors; past DIVISOR_MAX_M
+            start = time.perf_counter()
+            with pytest.raises(ResourceCap):
+                divisor_data(too_big)
+            assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "args",
@@ -97,6 +107,53 @@ class TestFamilies:
     def test_generate_is_deterministic(self):
         spec = GeneratorSpec("gridfn", g=2, v=2, stencil="dilate")
         assert generate(spec) == generate(spec)
+
+
+# each gen family just at and just above the default arity cap of 20
+GEN_AT_THE_CAP = [
+    (("--family", "chain", "--n", "20"), 0),
+    (("--family", "chain", "--n", "21"), 3),
+    (("--family", "antichain", "--n", "20"), 0),
+    (("--family", "antichain", "--n", "21"), 3),
+    (("--family", "random", "--n", "20"), 0),
+    (("--family", "random", "--n", "21"), 3),
+    (("--family", "boolean", "--k", "4"), 0),
+    (("--family", "boolean", "--k", "5"), 3),
+    (("--family", "divisor", "--m", "60"), 0),
+    (("--family", "divisor", "--m", "720720"), 3),
+    (("--family", "gridfn", "--g", "2", "--v", "4"), 0),
+    (("--family", "gridfn", "--g", "3", "--v", "3"), 3),
+]
+
+
+class TestGenFeedsReaders:
+    """What ``gen`` emits, the reading commands accept at their default caps."""
+
+    @pytest.mark.parametrize(
+        "args, code", GEN_AT_THE_CAP, ids=["-".join(args[1::2]) for args, _ in GEN_AT_THE_CAP]
+    )
+    def test_gen_output_is_read_at_default_caps(self, args, code, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        assert cli.main(["gen", *args, "--output", str(path)]) == code
+        assert capsys.readouterr().out == ""
+        if code == 3:
+            assert not path.exists()
+            assert cli.main(["gen", *args]) == 3
+            assert capsys.readouterr().out == ""
+        elif "gridfn" in args:
+            target = tmp_path / "target.json"
+            codomain = json.loads(path.read_text())["codomain"]["elements"]
+            target.write_text(json.dumps({"principal": codomain[-1]}))
+            assert cli.main(["solve", "--input", str(path), "--target", str(target)]) in (0, 1)
+        else:
+            assert cli.main(["complete", "--input", str(path)]) == 0
+
+    def test_every_spec_field_is_a_gen_option(self):
+        parser = cli.build_parser()
+        for field in fields(GeneratorSpec):
+            value = {"family": "chain", "density": "0.5", "stencil": "dilate"}.get(field.name, "2")
+            args = parser.parse_args(["gen", "--family", "chain", f"--{field.name}", value])
+            assert str(getattr(args, field.name)) == value
 
 
 class TestGridFn:
