@@ -87,6 +87,13 @@ def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[
         yield tuple(sorted(rng.sample(range(count), size)))
 
 
+def _family_count(count: int, sample_budget: int) -> int:
+    """How many families ``_iter_index_families`` yields."""
+    if 1 << count <= EXHAUSTIVE_MASKS:
+        return 1 << count
+    return 2 + min(count, sample_budget) + sample_budget
+
+
 # ---------------------------------------------------------------- corpora
 
 
@@ -501,17 +508,32 @@ class Suite(NamedTuple):
     check: Callable[[str, Any], list[str]]
 
 
+def _cutcalc_summary(items: list[tuple[str, CompletedPoset]]) -> str:
+    # a poset is sampled when its masks, mask pairs or cuts per least-cut test are
+    sizes = [(c.parent.arity, c.cut_count) for _, c in items]
+    sampled = sum(1 << n > EXHAUSTIVE_MASKS or 3**n > EXHAUSTIVE_PAIRS or k > BOUND_SCAN_SAMPLE
+                  for n, k in sizes)
+    masks = sum(min(1 << n, EXHAUSTIVE_MASKS) for n, _ in sizes if n)
+    note = f" ({sampled} sampled rather than scanned exhaustively; {masks} masks checked)"
+    return f"cutcalc on {len(items)} posets" + (note if sampled else "")
+
+
 def _macneille_summary(items: list[tuple[str, CompletedPoset]]) -> str:
-    """Says how many posets skipped the exhaustive cut scan, when any did."""
+    # k >= n, so a poset's element families are sampled only when its cut families are
+    sampled = sum(1 << c.cut_count > EXHAUSTIVE_MASKS for _, c in items)
+    families = sum(_family_count(c.cut_count, BOUND_SCAN_SAMPLE) for _, c in items)
     unscanned = sum(c.parent.arity > BRUTE_MAX_ARITY for _, c in items)
-    note = f" ({unscanned} over {BRUTE_MAX_ARITY} elements not scanned exhaustively)"
-    return f"macneille on {len(items)} posets" + (note if unscanned else "")
+    note = f" ({sampled} sampled rather than scanned exhaustively"
+    if unscanned:
+        note += f", {unscanned} over {BRUTE_MAX_ARITY} elements without the cut scan"
+    note += f"; {families} cut families checked)"
+    return f"macneille on {len(items)} posets" + (note if sampled else "")
 
 
 # the lambdas look the checks up at call time, so a wrapper installed on
 # this module (as the benchmark's layer tracer does) sees every call
 SUITES = {
-    "cutcalc": Suite("poset", 50, lambda items: f"cutcalc on {len(items)} posets", corpus_posets,
+    "cutcalc": Suite("poset", 50, _cutcalc_summary, corpus_posets,
                      lambda name, completion: check_bound_calculus(name, completion)),
     "macneille": Suite("poset", 50, _macneille_summary, corpus_posets,
                        lambda name, completion: check_completion(name, completion)),

@@ -13,14 +13,13 @@ import sys
 from dataclasses import fields
 from typing import Sequence
 
-from . import checks, jsonio
+from . import jsonio
 from .completion import DEFAULT_MAX_CUTS, CompletedPoset, macneille_completion, to_dot
 from .completion import verify_macneille
 from .errors import InvalidInput, OrderCompletionError, ResourceCap, UnknownSuite
-from .generators import STENCILS, GeneratorSpec, describe
-from .mapext import PosetMap
 from .poset import DEFAULT_MAX_ARITY, CarrierSet, has_maximum, has_minimum
-from .solver import EquationInstance, build_equation, solve
+
+# checks, generators and solver (with mapext) load only in the commands that run them
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -57,8 +56,9 @@ def _load_poset(args) -> CompletedPoset:
     return macneille_completion(poset, max_cuts=args.max_cuts)
 
 
-def _load_equation(args) -> EquationInstance:
-    """The --input equation, built under both caps."""
+def _load_equation(args):
+    """The --input equation (an ``EquationInstance``), built under both caps."""
+    from .solver import build_equation
     data = _read_json(args.input)
     domain, codomain, t = jsonio.equation_from_data(data, max_arity=args.max_arity)
     return build_equation(domain, codomain, t, max_cuts=args.max_cuts)
@@ -92,6 +92,8 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .mapext import PosetMap
+    from .solver import build_equation, solve
     if (args.input is None) == (args.map is None):
         raise InvalidInput("solve needs exactly one of --input or --map")
     if args.input is not None:
@@ -110,6 +112,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import checks
     suite = checks.SUITES.get(args.suite)
     if suite is None:
         raise UnknownSuite(f"unknown suite {args.suite!r}")
@@ -125,6 +128,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import GeneratorSpec, describe
     # every spec field is a gen option of the same name
     spec = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)})
     data = describe(spec)
@@ -157,6 +161,14 @@ def _add_caps(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-cuts", type=_positive_int, default=DEFAULT_MAX_CUTS)
 
 
+class _CheckHelp(argparse.HelpFormatter):
+    """Lists the suites in ``check --help``, importing ``checks`` only then."""
+
+    def _get_help_string(self, action):
+        from .checks import SUITES
+        return "one of " + ", ".join(SUITES) if action.dest == "suite" else action.help
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordercomplete",
@@ -179,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_caps(p)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("check", help="run a verification suite")
-    p.add_argument("suite", help="one of " + ", ".join(checks.SUITES))
+    p = sub.add_parser("check", help="run a verification suite", formatter_class=_CheckHelp)
+    p.add_argument("suite", help="the suite to run")
     p.add_argument("--input", help="poset or equation JSON to check instead of the corpus")
     p.add_argument(
         "--count", type=_positive_int, help="batch size for corpus-driven suites"
@@ -197,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--g", type=int)
     p.add_argument("--v", type=int)
-    p.add_argument("--stencil", choices=STENCILS)
+    p.add_argument("--stencil")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_gen)
 

@@ -17,13 +17,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .errors import BadSpec, ResourceCap
 from .poset import DEFAULT_MAX_ARITY, CarrierSet, Poset, _mask_members, build_poset
-from .mapext import PosetMap
-from .solver import EquationInstance, build_equation
 
+if TYPE_CHECKING:
+    from .solver import EquationInstance
 DIVISOR_MAX_M = 10**12  # the divisor scan takes isqrt(m) steps before the element cap
 _LETTERS = "abcdefghijkl"
 STENCILS = ("identity", "dilate", "erode")
@@ -199,13 +199,16 @@ def generate(spec: GeneratorSpec) -> Union[Poset, EquationInstance]:
     family a full equation instance (stencil map plus completions)."""
     data = describe(spec)
     if spec.family == "gridfn":
-        domain_labels, (labels, pairs, kind), mapping = data
-        codomain = build_poset(labels, pairs, kind)
-        domain = CarrierSet(domain_labels)
-        t = PosetMap.from_names(domain, codomain, mapping)
-        return build_equation(domain, codomain, t)
-    labels, pairs, kind = data
-    return build_poset(labels, pairs, kind)
+        domain_labels, codomain, mapping = data
+        return _equation(CarrierSet(domain_labels), build_poset(*codomain), mapping)
+    return build_poset(*data)
+
+
+def _equation(domain: CarrierSet, codomain: Poset, mapping: dict[str, str]) -> EquationInstance:
+    """The equation of a map given by names; ``gen`` never loads ``solver``."""
+    from .mapext import PosetMap
+    from .solver import build_equation
+    return build_equation(domain, codomain, PosetMap.from_names(domain, codomain, mapping))
 
 
 def random_equation(seed: int) -> EquationInstance:
@@ -218,5 +221,4 @@ def random_equation(seed: int) -> EquationInstance:
     nx = rng.randint(1, 6)
     domain = CarrierSet(tuple(f"x{i}" for i in range(nx)))
     mapping = {name: ylabels[rng.randrange(ny)] for name in domain.labels}
-    t = PosetMap.from_names(domain, codomain, mapping)
-    return build_equation(domain, codomain, t)
+    return _equation(domain, codomain, mapping)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .completion import CompletedPoset
 from .errors import SchemaError
@@ -24,9 +24,10 @@ from .poset import (
     _mask_members,
     build_poset,
 )
-from .mapext import PosetMap
-from .solver import SolveReport
 
+if TYPE_CHECKING:  # the map formats import mapext when they run
+    from .mapext import PosetMap
+    from .solver import SolveReport
 SCHEMA_VERSION = 1
 
 
@@ -128,6 +129,7 @@ def _mapping_from_data(data: Any) -> dict[str, str]:
 
 
 def map_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> PosetMap:
+    from .mapext import PosetMap
     data = _expect_dict(data, "map", "source", "target", "map")
     source = source_from_data(data["source"], max_arity)
     target = poset_from_data(data["target"], max_arity)
@@ -155,6 +157,7 @@ def equation_to_data(domain: CarrierSet, codomain: Poset, t: PosetMap) -> dict:
 def equation_from_data(
     data: Any, max_arity: int = DEFAULT_MAX_ARITY
 ) -> tuple[CarrierSet, Poset, PosetMap]:
+    from .mapext import PosetMap
     data = _expect_dict(data, "equation", "domain", "codomain", "map")
     domain = carrier_from_data(data["domain"])
     codomain = poset_from_data(data["codomain"], max_arity)

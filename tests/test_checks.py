@@ -43,6 +43,14 @@ def test_coverage_digest():
     assert _coverage_digest() == COVERAGE
 
 
+def test_family_count_is_what_the_scan_yields():
+    """The count the ``check macneille`` summary line reports."""
+    for budget in (checks.BOUND_SCAN_SAMPLE, checks.FAMILY_SAMPLE):
+        for count in range(70):
+            families = list(checks._iter_index_families(count, 0, budget))
+            assert checks._family_count(count, budget) == len(families)
+
+
 def test_bound_scan_work_is_bounded_by_its_sample(monkeypatch):
     """Above the exhaustive threshold the oracle sees at most the empty
     and full families, a sample of singletons and the random families."""

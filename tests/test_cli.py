@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ordercomplete import checks, cli, jsonio
+from ordercomplete import checks, cli, jsonio, solver
 from ordercomplete.errors import MultipleSolutions, OrderCompletionError
 
 from test_golden import _standard
@@ -344,11 +344,25 @@ class TestCheck:
         assert cli.main(["gen", "--family", "chain", "--n", "17", "--output", str(chain17)]) == 0
         expected = {
             chain_file: "PASS macneille on 1 posets\n",
-            chain17: "PASS macneille on 1 posets (1 over 16 elements not scanned exhaustively)\n",
+            chain17: "PASS macneille on 1 posets (1 sampled rather than scanned exhaustively,"
+            " 1 over 16 elements without the cut scan; 83 cut families checked)\n",
         }
         capsys.readouterr()
         for path, line in expected.items():
             assert cli.main(["check", "macneille", "--input", str(path)]) == 0
+            assert capsys.readouterr().out == line
+
+    def test_cutcalc_says_what_it_sampled(self, chain_file, tmp_path, capsys):
+        chain13 = tmp_path / "chain13.json"
+        assert cli.main(["gen", "--family", "chain", "--n", "13", "--output", str(chain13)]) == 0
+        expected = {
+            chain_file: "PASS cutcalc on 1 posets\n",
+            chain13: "PASS cutcalc on 1 posets (1 sampled rather than scanned exhaustively;"
+            " 4096 masks checked)\n",
+        }
+        capsys.readouterr()
+        for path, line in expected.items():
+            assert cli.main(["check", "cutcalc", "--input", str(path)]) == 0
             assert capsys.readouterr().out == line
 
     def test_poset_suites_finish_on_2048_cuts(self, tmp_path):
@@ -388,7 +402,7 @@ class TestBuildOnce:
 
     def test_equation_input_is_built_once(self, constant_equation_file, tmp_path, monkeypatch):
         calls = []
-        _record_max_cuts(monkeypatch, cli, "build_equation", calls)
+        _record_max_cuts(monkeypatch, solver, "build_equation", calls)
         target = write_target(tmp_path, {"principal": "p"})
         equation = ("--input", str(constant_equation_file), "--max-cuts", "7")
         solve = ["solve", "--target", str(target)]
@@ -405,7 +419,7 @@ class TestInternalErrors:
         def broken(instance, target):
             raise OrderCompletionError("solution does not map onto the target")
 
-        monkeypatch.setattr(cli, "solve", broken)
+        monkeypatch.setattr(solver, "solve", broken)
         target = write_target(tmp_path, {"principal": "p"})
         code = cli.main(
             ["solve", "--input", str(constant_equation_file), "--target", str(target)]
@@ -431,6 +445,11 @@ class TestGen:
 
     def test_bad_spec_exits_2(self):
         assert run("gen", "--family", "chain").returncode == 2
+
+    def test_unknown_stencil_exits_2(self):
+        result = run("gen", "--family", "gridfn", "--g", "2", "--v", "2", "--stencil", "bogus")
+        assert_one_error_line(result, 2)
+        assert "stencil must be one of" in result.stderr
 
     def test_deterministic_output(self):
         args = ("gen", "--family", "random", "--n", "6", "--seed", "7")

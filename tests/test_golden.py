@@ -37,7 +37,7 @@ GOLDEN = {
     "export": "67f935047c642085643d4eec7a4084da72a80d9780ed90a3c0c334eef342ebea",
     "solve": "f1422c7c26083e24f427cbcc578bb940de33045b8ffbccd188778e086edf11e1",
     "gen": "81f00334a267080cb86be79baa99cd0ac2a987eaf0dc539f916a04f91d7f762d",
-    "check": "c647b377e4abe630641458f7a0cee34f71faf8d98490fb53f1575ba1b7814a46",
+    "check": "cca7b75b21e97c27d803d8b14424d735d42fc8a3bb741b938aea0c6bdd71dc6a",
 }
 
 GEN_ARGS = [
