@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from typing import Sequence
 
 from . import jsonio
@@ -130,7 +129,7 @@ def _cmd_check(args) -> int:
 def _cmd_gen(args) -> int:
     from .generators import GeneratorSpec, describe
     # every spec field is a gen option of the same name
-    spec = GeneratorSpec(**{f.name: getattr(args, f.name) for f in fields(GeneratorSpec)})
+    spec = GeneratorSpec(**{name: getattr(args, name) for name in GeneratorSpec._fields})
     data = describe(spec)
     if spec.family == "gridfn":
         payload = jsonio.raw_equation_to_data(*data)

@@ -24,7 +24,6 @@ computed as one integer per mask, ``_canonical_key``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Iterator, Sequence
 
@@ -32,6 +31,7 @@ from .errors import InvalidCut, ResourceCap
 from .poset import (
     Poset,
     Subset,
+    _Record,
     _closure_mask,
     _lower_mask,
     _mask_members,
@@ -44,8 +44,7 @@ DEFAULT_MAX_CUTS = 4096
 
 
 def _trusted(cls, **fields):
-    """A frozen dataclass value built without running ``__post_init__``,
-    for values that the algorithm building them already makes valid."""
+    """A record built without ``__post_init__``, valid by its builder's algorithm."""
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
@@ -56,7 +55,6 @@ def cut_label(poset: Poset, mask: int) -> str:
     return "{" + ",".join(poset.labels[i] for i in _mask_members(mask)) + "}"
 
 
-@dataclass(frozen=True)
 class Cut(Subset):
     """A subset equal to its own upper-lower closure."""
 
@@ -96,8 +94,7 @@ def _canonical_key(arity: int, mask: int) -> int:
     return (mask.bit_count() << arity) | (int.from_bytes(rest, "big") >> (-arity & 7))
 
 
-@dataclass(frozen=True)
-class CompletedPoset:
+class CompletedPoset(_Record):
     """All cuts of a poset in canonical order, plus the element embedding.
 
     ``embedding[i]`` is the index of the principal cut of element i.  The
@@ -211,8 +208,7 @@ def inf_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
     return _trusted(Cut, parent=completion.parent, mask=meet)
 
 
-@dataclass(frozen=True)
-class MacNeilleReport:
+class MacNeilleReport(_Record):
     """Outcome of the structural verification of a completion.
 
     Completeness and order density are invariants of ``CompletedPoset``

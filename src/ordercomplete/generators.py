@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .errors import BadSpec, ResourceCap
-from .poset import DEFAULT_MAX_ARITY, CarrierSet, Poset, _mask_members, build_poset
+from .poset import DEFAULT_MAX_ARITY, CarrierSet, Poset, _Record, _mask_members, build_poset
 
 if TYPE_CHECKING:
     from .solver import EquationInstance
@@ -32,8 +31,7 @@ PosetData = tuple[tuple[str, ...], list[tuple[str, str]], str]
 EquationData = tuple[tuple[str, ...], PosetData, dict[str, str]]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(_Record):
     """One instance family plus its parameters."""
 
     family: str

@@ -10,7 +10,6 @@ byte-equal outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .completion import CompletedPoset
@@ -194,7 +193,7 @@ def completed_to_data(completion: CompletedPoset) -> dict:
 
 
 def solve_report_to_data(report: SolveReport) -> dict:
-    # the field order of each flags dataclass is its JSON key order
+    # the field order of each flags record is its JSON key order
     return {
         "schema_version": SCHEMA_VERSION,
         "target": subset_to_data(report.target),
@@ -204,6 +203,6 @@ def solve_report_to_data(report: SolveReport) -> dict:
         "inf_of_images": subset_to_data(report.inf_of_images),
         "lower_family": [subset_to_data(c) for c in report.lower_family],
         "upper_family": [subset_to_data(c) for c in report.upper_family],
-        "empty_family_flags": asdict(report.empty_family_flags),
-        "assumption_flags": asdict(report.assumption_flags),
+        "empty_family_flags": report.empty_family_flags._asdict(),
+        "assumption_flags": report.assumption_flags._asdict(),
     }

@@ -14,7 +14,6 @@ seeded maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .completion import (
@@ -34,11 +33,10 @@ from .errors import (
     SourceNotOrdered,
     UnknownElement,
 )
-from .poset import Parent, Poset, Subset, _mask_members
+from .poset import Parent, Poset, Subset, _Record, _mask_members
 
 
-@dataclass(frozen=True)
-class PosetMap:
+class PosetMap(_Record):
     """A total map from a carrier (ordered or not) into a poset.
 
     ``assignment[i]`` is the target index of source element i.
@@ -119,8 +117,7 @@ def extension_cut_map(
     return tuple(extension_mask(phi, mask) for mask in source_completion.cut_masks)
 
 
-@dataclass(frozen=True)
-class BoundChainReport:
+class BoundChainReport(_Record):
     """The bound chain of an increasing map applied to a nonvoid family."""
 
     mu_of_inf: Cut

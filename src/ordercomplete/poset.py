@@ -21,8 +21,8 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -35,6 +35,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ARITY = 20
+_setattr = object.__setattr__
 
 
 def _row_tables(rows: Sequence[int], full: int) -> tuple[tuple[int, ...], ...]:
@@ -72,8 +73,66 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-@dataclass(frozen=True)
-class CarrierSet:
+class _Record:
+    """Base of the package's immutable value types.
+
+    The fields are the annotated names of the class and its bases, base
+    fields first; a class attribute of a field's name is its default.
+    A record equals only records of its own class with equal fields.
+    ``cached_property`` and ``completion._trusted`` write ``__dict__``.
+    """
+
+    def __init_subclass__(cls) -> None:
+        annotated = (vars(klass).get("__annotations__", ()) for klass in reversed(cls.__mro__))
+        names = dict.fromkeys(name for names in annotated for name in names)
+        cls._fields = tuple(names)
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        get = attrgetter(*names)  # one name gives a bare value, so wrap it in a tuple
+        cls._key = staticmethod(get if len(names) > 1 else lambda value: (get(value),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        given = dict(zip(cls._fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(given) < len(args) or given.keys() & kwargs or values.keys() != set(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}")
+        return [values[name] for name in cls._fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
+        return f"{type(self).__qualname__}({fields})"
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._key(self)))
+
+
+class CarrierSet(_Record):
     """A bare, unordered carrier: distinct labels and nothing else."""
 
     labels: tuple[str, ...]
@@ -101,7 +160,6 @@ class CarrierSet:
         return {name: i for i, name in enumerate(self.labels)}
 
 
-@dataclass(frozen=True)
 class Poset(CarrierSet):
     """A finite partial order: a carrier and its order relation.
 
@@ -166,8 +224,7 @@ class Poset(CarrierSet):
 Parent = Union[Poset, CarrierSet]
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Record):
     """A subset of one specific carrier, stored as a bitmask.
 
     Mixing subsets of different parents raises ParentMismatch in every
@@ -190,7 +247,7 @@ class Subset:
 
 
 def _require_same_parent(parent: Parent, subset: Subset) -> None:
-    if subset.parent != parent:
+    if subset.parent is not parent and subset.parent != parent:
         raise ParentMismatch("subset belongs to a different carrier")
 
 

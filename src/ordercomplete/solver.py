@@ -23,7 +23,6 @@ empty-family sup/inf conventions (least cut, full carrier).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .completion import (
@@ -41,14 +40,14 @@ from .poset import (
     CarrierSet,
     Poset,
     Subset,
+    _Record,
     _closure_mask,
     has_maximum,
     has_minimum,
 )
 
 
-@dataclass(frozen=True)
-class QuotientPoset:
+class QuotientPoset(_Record):
     """Fibers of a map, ordered by pulling back the codomain order.
 
     Classes are labeled by their representative (first member in carrier
@@ -60,8 +59,7 @@ class QuotientPoset:
     order: Poset
 
 
-@dataclass(frozen=True)
-class AssumptionFlags:
+class AssumptionFlags(_Record):
     """Where a finite instance departs from the no-minimum/no-maximum setting."""
 
     quotient_has_minimum: bool
@@ -72,8 +70,7 @@ class AssumptionFlags:
     empty_set_in_codomain_completion: bool
 
 
-@dataclass(frozen=True)
-class EquationInstance:
+class EquationInstance(_Record):
     """A map T : X -> Y with its quotient, the quotient's completion and T#.
 
     ``images[i]`` is the codomain cut mask T# sends the quotient cut
@@ -165,14 +162,12 @@ def build_equation(
     )
 
 
-@dataclass(frozen=True)
-class EmptyFamilyFlags:
+class EmptyFamilyFlags(_Record):
     lower: bool
     upper: bool
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(_Record):
     """Everything the solvability criterion looked at, not just the verdict."""
 
     target: Cut
@@ -250,8 +245,7 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
     )
 
 
-@dataclass(frozen=True)
-class GlobalReport:
+class GlobalReport(_Record):
     """Surjectivity character of T# over the whole codomain completion."""
 
     covers_embedded_codomain: bool

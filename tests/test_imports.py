@@ -8,6 +8,8 @@ The probes below run each command the way ``python -m ordercomplete``
 does, in a fresh interpreter, and list the package modules it loaded.
 Only ``ordercomplete`` modules are listed: the interpreter's ``site``
 may import stdlib modules such as ``random`` or ``typing`` on its own.
+The probe blocks ``dataclasses`` (and with it ``inspect`` and ``ast``)
+before the command runs, so a command that imports it exits non-zero.
 """
 
 import json
@@ -21,6 +23,7 @@ from ordercomplete import checks
 
 PROBE = """
 import json, runpy, sys
+sys.modules["dataclasses"] = None
 sys.argv = ["ordercomplete", *sys.argv[1:]]
 try:
     runpy.run_module("ordercomplete", run_name="__main__", alter_sys=True)
@@ -58,8 +61,9 @@ def loaded_modules(*args):
     result = subprocess.run(
         [sys.executable, "-c", PROBE, *args], capture_output=True, text=True
     )
-    last = result.stderr.strip().splitlines()[-1]
-    return result.returncode, {name.split(".", 1)[1] for name in json.loads(last)}
+    # a traceback, if any, follows the module list
+    listed = next(line for line in reversed(result.stderr.splitlines()) if line.startswith("["))
+    return result.returncode, {name.split(".", 1)[1] for name in json.loads(listed)}
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +99,14 @@ def command_lines(inputs):
     ]
 
 
+def check_lines(inputs):
+    return [
+        ("check", "macneille", "--input", inputs["poset"]),
+        ("check", "theorem41", "--input", inputs["equation"]),
+        ("check", "closedforms"),
+    ]
+
+
 def test_each_command_loads_only_what_it_runs(inputs):
     for args in command_lines(inputs):
         code, loaded = loaded_modules(*args)
@@ -103,9 +115,17 @@ def test_each_command_loads_only_what_it_runs(inputs):
 
 
 def test_check_loads_its_suites(inputs):
-    code, loaded = loaded_modules("check", "macneille", "--input", inputs["poset"])
-    assert code == 0
-    assert {"checks", "oracle", "solver"} <= loaded
+    for args in check_lines(inputs):
+        code, loaded = loaded_modules(*args)
+        assert code == 0, args
+        assert {"checks", "oracle", "solver"} <= loaded, args
+
+
+def test_the_probe_blocks_dataclasses():
+    probe = PROBE.replace("    runpy.", "    import dataclasses\n    runpy.")
+    result = subprocess.run([sys.executable, "-c", probe, "--help"], capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "import of dataclasses halted" in result.stderr
 
 
 def test_public_names_are_unchanged():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from ordercomplete.completion import macneille_completion
@@ -11,6 +9,12 @@ from ordercomplete.poset import CarrierSet, Subset, build_poset
 from ordercomplete.solver import build_equation, global_character, solve
 
 from conftest import leq
+
+
+def replace(record, **changes):
+    """A record of the same class with some fields changed, built through
+    the validating constructor."""
+    return type(record)(**{**record._asdict(), **changes})
 
 
 def chain(labels):
