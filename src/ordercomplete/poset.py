@@ -84,7 +84,7 @@ class _Record:
 
     def __init_subclass__(cls) -> None:
         annotated = (vars(klass).get("__annotations__", ()) for klass in reversed(cls.__mro__))
-        names = dict.fromkeys(name for names in annotated for name in names)
+        names = dict.fromkeys(name for annotations in annotated for name in annotations)
         cls._fields = tuple(names)
         cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
         get = attrgetter(*names)  # one name gives a bare value, so wrap it in a tuple
