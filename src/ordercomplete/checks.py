@@ -32,7 +32,6 @@ from typing import Any, Callable, Iterable, NamedTuple
 
 from .completion import (
     CompletedPoset,
-    _closure_mask,
     _lower_mask,
     _upper_mask,
     cut_label,
@@ -52,7 +51,7 @@ from .oracle import (
     brute_solve,
     brute_upper,
 )
-from .poset import Poset, _mask_members, _submasks, build_poset
+from .poset import Poset, _join, _mask_members, _meet, _submasks, build_poset
 from .poset import maximum_index, minimum_index
 from .solver import EquationInstance, global_character, solve
 
@@ -247,10 +246,7 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
 
     # closure equals the sup of the embedded members
     for m in masks:
-        union = 0
-        for x in _mask_members(m):
-            union |= down[x]
-        if lower(upper(m)) != lower(upper(union)):
+        if lower(upper(m)) != _join(poset, [down[x] for x in _mask_members(m)]):
             fails.append(f"{name}: closure is not the sup of embedded members on {m:#x}")
             break
 
@@ -298,52 +294,33 @@ def _bound_keeping_failures(name: str, poset: Poset) -> list[str]:
     fails = []
     principal = poset.down_masks
     for indices in _iter_index_families(poset.arity, 1, FAMILY_SAMPLE):
-        subset_mask = 0
-        union = 0
-        meet = poset.full_mask
-        for i in indices:
-            subset_mask |= 1 << i
-            union |= principal[i]
-            meet &= principal[i]
+        subset_mask = sum(1 << i for i in indices)
+        members = [principal[i] for i in indices]
         names = ",".join(poset.labels[i] for i in indices)
         s = minimum_index(poset, _upper_mask(poset, subset_mask))
-        if s is not None and _closure_mask(poset, union) != principal[s]:
+        if s is not None and _join(poset, members) != principal[s]:
             fails.append(f"{name}: embedding loses the supremum of {{{names}}}")
         t = maximum_index(poset, _lower_mask(poset, subset_mask))
-        if t is not None and meet != principal[t]:
+        if t is not None and _meet(poset, members) != principal[t]:
             fails.append(f"{name}: embedding loses the infimum of {{{names}}}")
     return fails
 
 
-def _squarefree(m: int) -> bool:
-    d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 def check_closed_forms() -> list[str]:
-    """Exact completion sizes for the families where they are known."""
+    """Exact completion sizes for the families where they are known: an
+    antichain of n gains a bottom and a top, and a lattice completes to itself."""
     fails: list[str] = []
-    for n in range(1, 11):
-        poset = generate(GeneratorSpec("chain", n=n))
-        count = macneille_completion(poset).cut_count
-        if count != n:
-            fails.append(f"chain({n}): expected {n} cuts, got {count}")
     for n in range(2, 11):
         poset = generate(GeneratorSpec("antichain", n=n))
         count = macneille_completion(poset).cut_count
         if count != n + 2:
             fails.append(f"antichain({n}): expected {n + 2} cuts, got {count}")
-    for k in range(0, 5):
-        poset = generate(GeneratorSpec("boolean", k=k))
-        fails.extend(_check_self_complete(f"boolean({k})", poset))
-    for m in range(1, 61):
-        if _squarefree(m):
-            poset = generate(GeneratorSpec("divisor", m=m))
-            fails.extend(_check_self_complete(f"divisor({m})", poset))
+    lattices = (("chain", "n", range(1, 11)), ("boolean", "k", range(5)),
+                ("divisor", "m", range(1, 61)))
+    for family, param, values in lattices:
+        for value in values:
+            poset = generate(GeneratorSpec(family, **{param: value}))
+            fails.extend(_check_self_complete(f"{family}({value})", poset))
     return fails
 
 

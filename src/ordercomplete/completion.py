@@ -33,8 +33,10 @@ from .poset import (
     Subset,
     _Record,
     _closure_mask,
+    _join,
     _lower_mask,
     _mask_members,
+    _meet,
     _require_same_parent,
     _upper_mask,
     has_maximum,
@@ -191,10 +193,8 @@ def sup_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
 
     The empty family yields the least cut, i.e. the closure of {}.
     """
-    union = 0
-    for cut in family:
-        union |= completion.cut_masks[completion.index_of(cut)]
-    return _trusted(Cut, parent=completion.parent, mask=_closure_mask(completion.parent, union))
+    masks = [completion.cut_masks[completion.index_of(cut)] for cut in family]
+    return _trusted(Cut, parent=completion.parent, mask=_join(completion.parent, masks))
 
 
 def inf_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
@@ -202,10 +202,8 @@ def inf_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
 
     The empty family yields the full carrier, the greatest cut.
     """
-    meet = completion.parent.full_mask
-    for cut in family:
-        meet &= completion.cut_masks[completion.index_of(cut)]
-    return _trusted(Cut, parent=completion.parent, mask=meet)
+    masks = [completion.cut_masks[completion.index_of(cut)] for cut in family]
+    return _trusted(Cut, parent=completion.parent, mask=_meet(completion.parent, masks))
 
 
 class MacNeilleReport(_Record):

@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 from .completion import (
     CompletedPoset,
     Cut,
-    _closure_mask,
     _first_decrease,
     _trusted,
     cut_label,
@@ -33,7 +32,7 @@ from .errors import (
     SourceNotOrdered,
     UnknownElement,
 )
-from .poset import Parent, Poset, Subset, _Record, _mask_members
+from .poset import Parent, Poset, Subset, _Record, _join, _mask_members, _meet
 
 
 class PosetMap(_Record):
@@ -70,10 +69,7 @@ class PosetMap(_Record):
 
 def extension_mask(phi: PosetMap, mask: int) -> int:
     """Target cut mask the extension sends a source subset mask to: (f(A))^ul."""
-    image = 0
-    for i in _mask_members(mask):
-        image |= 1 << phi.assignment[i]
-    return _closure_mask(phi.target, image)
+    return _join(phi.target, [1 << phi.assignment[i] for i in _mask_members(mask)])
 
 
 def _require_ordered(phi: PosetMap) -> Poset:
@@ -162,14 +158,9 @@ def check_bound_chain(
 
     inf_e = inf_cuts(source, family)
     sup_e = sup_cuts(source, family)
-    union = 0
-    meet = target_poset.full_mask
-    for member in family:
-        image = mu_masks[source.index_of(member)]
-        union |= image
-        meet &= image
-    inf_img = _trusted(Cut, parent=target_poset, mask=meet)
-    sup_img = _trusted(Cut, parent=target_poset, mask=_closure_mask(target_poset, union))
+    images = [mu_masks[source.index_of(member)] for member in family]
+    inf_img = _trusted(Cut, parent=target_poset, mask=_meet(target_poset, images))
+    sup_img = _trusted(Cut, parent=target_poset, mask=_join(target_poset, images))
     mu_inf = cuts[source.index_of(inf_e)]
     mu_sup = cuts[source.index_of(sup_e)]
 

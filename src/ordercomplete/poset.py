@@ -13,7 +13,9 @@ They are computed by one table-driven kernel (``_upper_mask``,
 ``_lower_mask``, ``_closure_mask``).  Each poset caches, per chunk of 8
 elements, the intersections of the rows picked by each byte value,
 so A^u and A^l cost one lookup per chunk: at most three at the default
-arity cap of 20.
+arity cap of 20.  The same kernel holds the two lattice operations on
+cuts: ``_join`` (the closure of the union) and ``_meet`` (the plain
+intersection).
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -21,8 +23,8 @@ function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, reduce
+from operator import and_, attrgetter, or_
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -238,12 +240,9 @@ class Subset(_Record):
         if self.mask < 0 or self.mask & ~self.parent.full_mask:
             raise UnknownElement("subset mask references elements outside its parent")
 
-    def members(self) -> tuple[int, ...]:
-        return _mask_members(self.mask)
-
     def names(self) -> tuple[str, ...]:
         labels = self.parent.labels
-        return tuple(labels[i] for i in self.members())
+        return tuple(labels[i] for i in _mask_members(self.mask))
 
 
 def _require_same_parent(parent: Parent, subset: Subset) -> None:
@@ -321,6 +320,16 @@ def _lower_mask(poset: Poset, mask: int) -> int:
 def _closure_mask(poset: Poset, mask: int) -> int:
     """A^ul of a mask, the least cut containing it."""
     return _lower_mask(poset, _upper_mask(poset, mask))
+
+
+def _join(poset: Poset, masks: Iterable[int]) -> int:
+    """Sup of cut masks: the closure of their union; the least cut for none."""
+    return _closure_mask(poset, reduce(or_, masks, 0))
+
+
+def _meet(poset: Poset, masks: Iterable[int]) -> int:
+    """Inf of cut masks: their intersection; the full carrier for none."""
+    return reduce(and_, masks, poset.full_mask)
 
 
 def upper_bounds(poset: Poset, subset: Subset) -> Subset:

@@ -41,7 +41,8 @@ from .poset import (
     Poset,
     Subset,
     _Record,
-    _closure_mask,
+    _join,
+    _meet,
     has_maximum,
     has_minimum,
 )
@@ -197,30 +198,17 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
     order = qc.parent
     codomain = instance.codomain
     qmasks = qc.cut_masks
-    lower: list[int] = []
-    upper: list[int] = []
-    union = 0
-    meet = codomain.full_mask
-    for i, image_mask in enumerate(instance.images):
-        if image_mask & ~f_mask == 0:
-            lower.append(i)
-            union |= image_mask
-        if f_mask & ~image_mask == 0:
-            upper.append(i)
-            meet &= image_mask
-
-    sup_mask = _closure_mask(codomain, union)
+    images = instance.images
+    lower = [i for i, image in enumerate(images) if image & ~f_mask == 0]
+    upper = [i for i, image in enumerate(images) if f_mask & ~image == 0]
+    sup_mask = _join(codomain, [images[i] for i in lower])
+    meet = _meet(codomain, [images[i] for i in upper])
     solvable = sup_mask == meet
 
     solution: Cut | None = None
     if solvable:
-        from_lower = 0
-        for i in lower:
-            from_lower |= qmasks[i]
-        from_lower = _closure_mask(order, from_lower)
-        from_upper = order.full_mask
-        for i in upper:
-            from_upper &= qmasks[i]
+        from_lower = _join(order, [qmasks[i] for i in lower])
+        from_upper = _meet(order, [qmasks[i] for i in upper])
         if from_lower != from_upper:
             raise OrderCompletionError(
                 "sup of the lower family differs from inf of the upper family; "

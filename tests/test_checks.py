@@ -85,3 +85,61 @@ def test_bound_scan_catches_a_wrong_bound(which, monkeypatch):
     assert checks.check_completion("divisor(12)", completion) == [
         f"divisor(12): {which} disagrees with the bound scan on {indices}"
     ]
+
+
+# divisor(12) lists 1, 2, 3, 4, 6, 12, so mask 0x3 is {1,2}, the down-set of 2,
+# and the join sees it as the family of the down-sets of 1 and 2: (0x1, 0x3)
+@pytest.mark.parametrize(
+    "kernel, fault_on, expected",
+    [
+        ("_upper_mask", 0x3, [
+            "operators disagree with the double loop on 0x3",
+            "bounds are not antitone on 0x2 <= 0x3",
+            "triple bound operator did not collapse on 0x2",
+            "principal sets are not mutual bounds at 1",
+            "singleton closures are not principal at 1",
+            "closure is not the sup of embedded members on 0x3",
+        ]),
+        ("_lower_mask", 0x3, [
+            "operators disagree with the double loop on 0x3",
+            "boundedness below mismatched on 0x3",
+            "bounds are not antitone on 0x3 <= 0x7",
+            "triple bound operator did not collapse on 0x3",
+        ]),
+        ("_join", (0x1, 0x3), ["closure is not the sup of embedded members on 0x3"]),
+    ],
+)
+def test_bound_calculus_catches_a_one_mask_fault(kernel, fault_on, expected, monkeypatch):
+    """check cutcalc names each identity a kernel breaks when it is wrong
+    on a single argument: one bit of its result flipped."""
+    completion = macneille_completion(generate(GeneratorSpec("divisor", m=12)))
+    real = getattr(checks, kernel)
+
+    def faulty(poset, arg):
+        if kernel == "_join":
+            arg = tuple(arg)
+        out = real(poset, arg)
+        return out ^ 1 if arg == fault_on else out
+
+    monkeypatch.setattr(checks, kernel, faulty)
+    assert checks.check_bound_calculus("divisor(12)", completion) == [
+        f"divisor(12): {line}" for line in expected
+    ]
+
+
+def test_closed_forms_runs_the_lattice_test_on_every_lattice(monkeypatch):
+    seen = []
+    real = checks._check_self_complete
+
+    def recorded(name, poset):
+        seen.append(name)
+        return real(name, poset)
+
+    monkeypatch.setattr(checks, "_check_self_complete", recorded)
+    assert checks.check_closed_forms() == []
+    lattices = (
+        [f"chain({n})" for n in range(1, 11)]
+        + [f"boolean({k})" for k in range(5)]
+        + [f"divisor({m})" for m in range(1, 61)]
+    )
+    assert set(lattices) <= set(seen)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ordercomplete import checks
 from ordercomplete import completion as completion_module
+from ordercomplete import poset as poset_module
 from ordercomplete.completion import (
     CompletedPoset,
     Cut,
@@ -390,14 +391,14 @@ class TestVerification:
     def test_check_scan_catches_a_kernel_fault_off_the_principal_sets(self, monkeypatch):
         p = diamond()
         # {p,q} is not principal and has the sup top: the union of its down-sets
-        # {bot,p,q} must close to the full carrier
+        # {bot,p,q} must close to the full carrier; the join reads the closure
         union = p.subset(["bot", "p", "q"]).mask
-        kernel = checks._closure_mask
+        kernel = poset_module._closure_mask
 
         def faulty(poset, mask):
             return mask if mask == union else kernel(poset, mask)
 
-        monkeypatch.setattr(checks, "_closure_mask", faulty)
+        monkeypatch.setattr(poset_module, "_closure_mask", faulty)
         completion = macneille_completion(p)
         assert verify_macneille(completion).all_ok
         fails = checks.check_completion("diamond", completion)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ordercomplete.errors import (
     CycleDetected,
@@ -12,12 +13,15 @@ from ordercomplete.errors import (
     UnknownElement,
 )
 from ordercomplete.generators import GeneratorSpec, generate
-from ordercomplete.oracle import brute_lower, brute_upper
+from ordercomplete.completion import macneille_completion
+from ordercomplete.oracle import brute_bound, brute_closure, brute_lower, brute_upper
 from ordercomplete.poset import (
     Poset,
     Subset,
     _closure_mask,
+    _join,
     _lower_mask,
+    _meet,
     _upper_mask,
     build_poset,
     has_maximum,
@@ -28,7 +32,7 @@ from ordercomplete.poset import (
     upper_bounds,
 )
 
-from conftest import leq, posets_with_mask, posets_with_two_masks
+from conftest import leq, posets, posets_with_mask, posets_with_two_masks
 
 
 def chain3():
@@ -294,3 +298,23 @@ class TestTableKernel:
         rng = random.Random(n)
         masks = [0, poset.full_mask] + [rng.getrandbits(n) for _ in range(2000)]
         _kernel_agrees_with_oracle(poset, masks)
+
+
+class TestLatticeOperations:
+    """``_join`` and ``_meet`` are the sup and inf of the cut lattice,
+    the empty family included."""
+
+    @given(posets(), st.data())
+    def test_join_is_the_closure_of_the_union(self, poset, data):
+        masks = data.draw(st.lists(st.integers(0, poset.full_mask), max_size=4))
+        union = 0
+        for mask in masks:
+            union |= mask
+        assert _join(poset, masks) == brute_closure(poset, union)
+
+    @given(posets(), st.data())
+    def test_meet_is_the_inf_of_the_cuts(self, poset, data):
+        completion = macneille_completion(poset)
+        family = data.draw(st.lists(st.sampled_from(completion.cuts), max_size=4))
+        inf = brute_bound(completion, family, "inf")
+        assert _meet(poset, [cut.mask for cut in family]) == inf.mask
