@@ -19,12 +19,12 @@ own algorithms build values that hold by construction through
 
 Canonical cut order is (cardinality, then member indices lexicographically);
 all reports and file formats rely on it for reproducibility.  It is
-computed as one integer per mask, ``_canonical_key``.
+computed by two C-level sorts of the bit-reversed masks, ``_canonical_order``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidCut, ResourceCap
@@ -79,21 +79,25 @@ def is_cut(poset: Poset, subset: Subset) -> bool:
     return _closure_mask(poset, subset.mask) == subset.mask
 
 
-_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+def _reversed_masks(arity: int, masks: Iterable[int]) -> dict[int, int]:
+    """``{bit-reversed mask: mask}`` for non-negative masks in the carrier:
+    ``bin(mask | top)`` read backwards down to its leading 1 puts member i
+    at bit ``arity - i``, above a set bit 0.  Reversal commutes with ``&``."""
+    top = 1 << arity
+    return {int(bin(m | top)[:1:-1], 2): m for m in masks}
 
 
-def _canonical_key(arity: int, mask: int) -> int:
-    """Integer sort key giving the order of (cardinality, member tuple).
+def _canonical_order(by_reversal: dict[int, int]) -> tuple[int, ...]:
+    """The masks of a ``_reversed_masks`` dict in canonical order.
 
     Of two sets of one size, the one holding the lowest element of their
-    symmetric difference comes first.  Reversing the bits of the
-    complement turns that element into the highest bit where the two
-    keys differ, and a 0 there for the set that holds it.  The reversal
-    flips each byte by table, reads the bytes backwards and drops padding.
+    symmetric difference comes first.  Reversal makes that element the
+    highest differing bit (Knuth, *TAOCP* 4A, 7.1.3), so descending
+    reversed masks, stable-sorted by size, are in canonical order.
     """
-    width = (arity + 7) >> 3
-    rest = (~mask & ((1 << arity) - 1)).to_bytes(width, "little").translate(_BIT_REVERSED)
-    return (mask.bit_count() << arity) | (int.from_bytes(rest, "big") >> (-arity & 7))
+    keys = sorted(by_reversal, reverse=True)
+    keys.sort(key=int.bit_count)
+    return tuple(map(by_reversal.__getitem__, keys))
 
 
 class CompletedPoset(_Record):
@@ -118,14 +122,11 @@ class CompletedPoset(_Record):
                     f"{cut_label(self.parent, mask)} listed in a completion "
                     "but is not a cut"
                 )
-        # the key is injective, so strictly increasing keys also rule out
-        # duplicates
-        keys = list(map(partial(_canonical_key, self.parent.arity), self.cut_masks))
-        for before, after in zip(keys, keys[1:]):
-            if before == after:
-                raise InvalidCut("duplicate cut in completion")
-            if before > after:
-                raise InvalidCut("completion cuts are not in canonical order")
+        ordered = _canonical_order(_reversed_masks(self.parent.arity, self.cut_masks))
+        if len(ordered) != len(self.cut_masks):
+            raise InvalidCut("duplicate cut in completion")
+        if ordered != tuple(self.cut_masks):
+            raise InvalidCut("completion cuts are not in canonical order")
         k = len(self.cut_masks)
         pointed = tuple(self.cut_masks[e] if 0 <= e < k else None for e in self.embedding)
         if pointed != self.parent.down_masks:
@@ -134,7 +135,7 @@ class CompletedPoset(_Record):
         required.add(self.parent.full_mask)
         missing = required.difference(self._mask_index)
         if missing:
-            first = min(missing, key=partial(_canonical_key, self.parent.arity))
+            first = _canonical_order(_reversed_masks(self.parent.arity, missing))[0]
             raise InvalidCut(f"completion misses the cut {cut_label(self.parent, first)}")
 
     @property
@@ -151,7 +152,7 @@ class CompletedPoset(_Record):
 
     @property
     def empty_set_is_cut(self) -> bool:
-        return self.cut_masks[0] == 0 if self.cut_masks else False
+        return self.cut_masks[0] == 0
 
     def index_of(self, cut: Subset) -> int:
         _require_same_parent(self.parent, cut)
@@ -176,16 +177,18 @@ def macneille_completion(poset: Poset, max_cuts: int = DEFAULT_MAX_CUTS) -> Comp
     ``max_cuts`` (the completion can be exponential in arity); each step
     at most doubles the count, so the work before that is O(n * cap).
     """
-    found = {poset.full_mask}
-    for down in dict.fromkeys(poset.down_masks):
-        found |= {down & c for c in found}
+    found = _reversed_masks(poset.arity, [poset.full_mask])
+    for reversed_down, down in _reversed_masks(poset.arity, poset.down_masks).items():
+        found.update({r & reversed_down: c & down for r, c in found.items()})
         if len(found) > max_cuts:
             raise ResourceCap(f"completion exceeds cut cap {max_cuts}")
 
-    cut_masks = tuple(sorted(found, key=partial(_canonical_key, poset.arity)))
+    cut_masks = _canonical_order(found)
     index = {m: i for i, m in enumerate(cut_masks)}
     embedding = tuple(index[poset.down_masks[i]] for i in range(poset.arity))
-    return _trusted(CompletedPoset, parent=poset, cut_masks=cut_masks, embedding=embedding)
+    return _trusted(
+        CompletedPoset, parent=poset, cut_masks=cut_masks, embedding=embedding, _mask_index=index
+    )
 
 
 def sup_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:
@@ -220,10 +223,6 @@ class MacNeilleReport(_Record):
     exhaustive: bool
     inf_side_empty: tuple[str, ...]
     failures: tuple[str, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return self.embedding_ok
 
 
 def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
