@@ -117,6 +117,8 @@ class CompletedPoset(_Record):
 
     def __post_init__(self) -> None:
         for mask in self.cut_masks:
+            if mask & ~self.parent.full_mask:
+                raise InvalidCut(f"mask {mask} in a completion lies outside the carrier")
             if _closure_mask(self.parent, mask) != mask:
                 raise InvalidCut(
                     f"{cut_label(self.parent, mask)} listed in a completion "

@@ -69,7 +69,17 @@ class PosetMap(_Record):
 
 def extension_mask(phi: PosetMap, mask: int) -> int:
     """Target cut mask the extension sends a source subset mask to: (f(A))^ul."""
+    if mask & ~phi.source.full_mask:
+        raise UnknownElement("subset mask references elements outside the map's source")
     return _join(phi.target, [1 << phi.assignment[i] for i in _mask_members(mask)])
+
+
+def _pulled_back_order(target: Poset, assignment: Sequence[int]) -> tuple[int, ...]:
+    """Row i holds the j with f(i) <= f(j): the target order pulled back."""
+    return tuple(
+        sum(1 << j for j, b in enumerate(assignment) if up >> b & 1)
+        for up in [target.up_masks[a] for a in assignment]
+    )
 
 
 def _require_ordered(phi: PosetMap) -> Poset:
@@ -81,27 +91,17 @@ def _require_ordered(phi: PosetMap) -> Poset:
 def is_increasing(phi: PosetMap) -> bool:
     """a <= b implies f(a) <= f(b), over all source pairs."""
     source = _require_ordered(phi)
-    target = phi.target
-    for i in range(source.arity):
-        for j in _mask_members(source.up_masks[i]):
-            if not target.leq_index(phi.assignment[i], phi.assignment[j]):
-                return False
-    return True
+    pulled = _pulled_back_order(phi.target, phi.assignment)
+    return all(up & ~row == 0 for up, row in zip(source.up_masks, pulled))
 
 
 def is_oie(phi: PosetMap) -> bool:
-    """Injective and a <= b iff f(a) <= f(b): an order isomorphic embedding."""
+    """Injective and a <= b iff f(a) <= f(b): an order isomorphic embedding.
+
+    Equal rows force injectivity: f(i) = f(j) puts j in row i and i in
+    row j, which the antisymmetric source order allows only for i = j."""
     source = _require_ordered(phi)
-    target = phi.target
-    if len(set(phi.assignment)) != source.arity:
-        return False
-    for i in range(source.arity):
-        for j in range(source.arity):
-            if source.leq_index(i, j) != target.leq_index(
-                phi.assignment[i], phi.assignment[j]
-            ):
-                return False
-    return True
+    return source.up_masks == _pulled_back_order(phi.target, phi.assignment)
 
 
 def extension_cut_map(

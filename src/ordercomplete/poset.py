@@ -213,9 +213,6 @@ class Poset(CarrierSet):
                 cols[j] |= 1 << i
         return tuple(cols)
 
-    def leq_index(self, i: int, j: int) -> bool:
-        return bool((self.up_masks[i] >> j) & 1)
-
     def subset(self, members: Iterable[str]) -> "Subset":
         mask = 0
         for name in members:

@@ -35,7 +35,7 @@ from .completion import (
     macneille_completion,
 )
 from .errors import InvalidCut, OrderCompletionError, ParentMismatch, UnknownElement
-from .mapext import PosetMap, extension_cut_map
+from .mapext import PosetMap, _pulled_back_order, extension_cut_map
 from .poset import (
     CarrierSet,
     Poset,
@@ -122,22 +122,15 @@ def build_equation(
     fibers: dict[int, list[int]] = {}
     for i, image in enumerate(t.assignment):
         fibers.setdefault(image, []).append(i)
-    # class order follows first appearance in the carrier
-    ordered = sorted(fibers.items(), key=lambda kv: kv[1][0])
-    classes = tuple(tuple(members) for _, members in ordered)
+    # filled in carrier order, so class order follows first appearance
+    classes = tuple(tuple(members) for members in fibers.values())
     representatives = tuple(members[0] for members in classes)
-    class_images = tuple(image for image, _ in ordered)
+    class_images = tuple(fibers)
 
     labels = tuple(domain.labels[r] for r in representatives)
-    rows = []
-    for a in class_images:
-        row = 0
-        for j, b in enumerate(class_images):
-            if codomain.leq_index(a, b):
-                row |= 1 << j
-        rows.append(row)
     # the pulled-back order of distinct images is a partial order
-    order = _trusted(Poset, labels=labels, up_masks=tuple(rows))
+    up_masks = _pulled_back_order(codomain, class_images)
+    order = _trusted(Poset, labels=labels, up_masks=up_masks)
     quotient = QuotientPoset(classes, representatives, order)
     t_approx = PosetMap(order, codomain, class_images)
 
@@ -188,8 +181,6 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
     ``target`` must be a cut of the codomain; anything else is rejected
     rather than silently closed.
     """
-    if target.parent != instance.codomain:
-        raise ParentMismatch("target does not live in the codomain")
     if not is_cut(instance.codomain, target):
         raise InvalidCut("the right hand side must be a cut of the codomain")
     f_mask = target.mask

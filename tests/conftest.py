@@ -61,7 +61,7 @@ def posets_with_two_masks(draw, max_n: int = 6):
 
 def leq(poset: Poset, a: str, b: str) -> bool:
     """a <= b, by label."""
-    return poset.leq_index(poset.index(a), poset.index(b))
+    return bool(poset.up_masks[poset.index(a)] >> poset.index(b) & 1)
 
 
 def principal(poset: Poset, label: str) -> Cut:

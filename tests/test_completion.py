@@ -203,6 +203,8 @@ class TestEnumeration:
             ("canonical order", swapped),
             # a duplicate after an inversion is reported as the duplicate
             ("duplicate", swapped + masks[-1:]),
+            # masks outside the six-element carrier
+            *(("outside the carrier", masks + [bad]) for bad in (-1, 1 << 6, 1 << 9)),
         ]
         for message, listed in faults:
             with pytest.raises(InvalidCut, match=message):

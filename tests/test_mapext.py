@@ -23,9 +23,9 @@ from ordercomplete.mapext import (
     is_increasing,
     is_oie,
 )
-from ordercomplete.poset import CarrierSet, _submasks, build_poset
+from ordercomplete.poset import CarrierSet, Poset, _submasks, build_poset
 
-from conftest import posets, principal
+from conftest import leq, posets, principal
 
 
 def chain3():
@@ -91,6 +91,12 @@ class TestApplyExtension:
         phi = PosetMap.from_names(carrier, target, {"u": "p", "v": "q"})
         assert extension_mask(phi, 0b11) == target.full_mask
 
+    @pytest.mark.parametrize("mask", [-1, 1 << 3, 1 << 20])
+    def test_mask_outside_the_source_rejected(self, mask):
+        phi = identity_map(chain3())
+        with pytest.raises(UnknownElement, match="outside the map's source"):
+            extension_mask(phi, mask)
+
     @given(posets(max_n=4), st.integers(0, 2**4 - 1), st.integers(0, 2**4 - 1))
     def test_monotone_for_inclusion(self, poset, a, b):
         phi = identity_map(poset)
@@ -130,6 +136,53 @@ class TestClassification:
             is_increasing(phi)
         with pytest.raises(SourceNotOrdered):
             is_oie(phi)
+
+
+@st.composite
+def maps(draw):
+    """Random maps into random posets: arbitrary (mostly not injective),
+    constant or injective, from a random poset or from a bare carrier."""
+    target = draw(posets())
+    kind = draw(st.sampled_from(["arbitrary", "constant", "injective", "bare"]))
+    # an injective map needs a source no larger than its target
+    source = draw(posets(max_n=target.arity if kind == "injective" else 6))
+    images = st.integers(0, target.arity - 1)
+    if kind == "constant":
+        assignment = [draw(images)] * source.arity
+    elif kind == "injective":
+        assignment = draw(st.permutations(range(target.arity)))[: source.arity]
+    else:
+        assignment = draw(st.lists(images, min_size=source.arity, max_size=source.arity))
+    if kind == "bare":
+        source = CarrierSet(source.labels)
+    return PosetMap(source, target, tuple(assignment))
+
+
+def all_pairs_verdicts(phi):
+    """(increasing, OIE) of a map between posets, by a loop over label pairs."""
+    source, target = phi.source, phi.target
+    image = {x: target.labels[i] for x, i in zip(source.labels, phi.assignment)}
+    pairs = [(a, b) for a in source.labels for b in source.labels]
+    increasing = all(
+        leq(target, image[a], image[b]) for a, b in pairs if leq(source, a, b)
+    )
+    injective = len(set(image.values())) == len(image)
+    oie = injective and all(
+        leq(source, a, b) == leq(target, image[a], image[b]) for a, b in pairs
+    )
+    return increasing, oie
+
+
+class TestPulledBackOrder:
+    @given(maps())
+    def test_verdicts_match_an_all_pairs_loop(self, phi):
+        if not isinstance(phi.source, Poset):
+            with pytest.raises(SourceNotOrdered):
+                is_increasing(phi)
+            with pytest.raises(SourceNotOrdered):
+                is_oie(phi)
+            return
+        assert (is_increasing(phi), is_oie(phi)) == all_pairs_verdicts(phi)
 
 
 def law_failures(phi):

@@ -66,6 +66,15 @@ class TestQuotient:
         for seed in range(10):
             assert is_oie(random_equation(seed).t_approx)
 
+    def test_quotient_order_is_the_pulled_back_codomain_order(self):
+        for seed in range(300):
+            instance = random_equation(seed)
+            codomain, order = instance.codomain, instance.quotient.order
+            images = [codomain.labels[y] for y in instance.t_approx.assignment]
+            for a, x in zip(order.labels, images):
+                for b, y in zip(order.labels, images):
+                    assert leq(order, a, b) == leq(codomain, x, y)
+
     def test_empty_domain_rejected(self):
         codomain = chain(["p"])
         domain = CarrierSet(())
