@@ -58,6 +58,7 @@ from .solver import EquationInstance, global_character, solve
 EXHAUSTIVE_MASKS = 4096  # all subsets when 2^count fits
 EXHAUSTIVE_PAIRS = 19683  # all subset pairs when 3^arity fits
 FAMILY_SAMPLE = 256
+DOUBLE_LOOP_ARITY = 8  # operators against the oracle's double loop up to this arity
 BOUND_SCAN_SAMPLE = 64  # oracle bound scan families; cuts per least-cut test
 
 
@@ -142,23 +143,19 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     fails: list[str] = []
     poset = completion.parent
     n = poset.arity
-    if n == 0:
-        return fails
     full = poset.full_mask
     masks = _sampled_masks(poset)
     upper = cache(partial(_upper_mask, poset))
     lower = cache(partial(_lower_mask, poset))
 
     # raw-definition equivalence on small carriers
-    if n <= 8:
+    if n <= DOUBLE_LOOP_ARITY:
         for m in masks:
             if upper(m) != brute_upper(poset, m) or lower(m) != brute_lower(poset, m):
                 fails.append(f"{name}: operators disagree with the double loop on {m:#x}")
                 break
 
-    # empty set maps to the full carrier; the converse in corrected form
-    if upper(0) != full or lower(0) != full:
-        fails.append(f"{name}: bounds of the empty set are not the full carrier")
+    # A^u = X iff A lies in X^l, and dually; masks starts with 0, where this is {}^u = X
     min_mask = lower(full)
     max_mask = upper(full)
     for m in masks:
@@ -218,8 +215,6 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
             fails.append(f"{name}: singleton bounds differ from principal sets at {x}")
         if lower(up[x]) != down[x] or upper(down[x]) != up[x]:
             fails.append(f"{name}: principal sets are not mutual bounds at {x}")
-        if lower(upper(sx)) != down[x] or upper(lower(sx)) != up[x]:
-            fails.append(f"{name}: singleton closures are not principal at {x}")
 
     cuts = completion.cut_masks
     cut_set = set(cuts)
@@ -294,15 +289,14 @@ def _bound_keeping_failures(name: str, poset: Poset) -> list[str]:
     fails = []
     principal = poset.down_masks
     for indices in _iter_index_families(poset.arity, 1, FAMILY_SAMPLE):
-        subset_mask = sum(1 << i for i in indices)
+        mask = sum(1 << i for i in indices)
         members = [principal[i] for i in indices]
-        names = ",".join(poset.labels[i] for i in indices)
-        s = minimum_index(poset, _upper_mask(poset, subset_mask))
+        s = minimum_index(poset, _upper_mask(poset, mask))
         if s is not None and _join(poset, members) != principal[s]:
-            fails.append(f"{name}: embedding loses the supremum of {{{names}}}")
-        t = maximum_index(poset, _lower_mask(poset, subset_mask))
+            fails.append(f"{name}: embedding loses the supremum of {cut_label(poset, mask)}")
+        t = maximum_index(poset, _lower_mask(poset, mask))
         if t is not None and _meet(poset, members) != principal[t]:
-            fails.append(f"{name}: embedding loses the infimum of {{{names}}}")
+            fails.append(f"{name}: embedding loses the infimum of {cut_label(poset, mask)}")
     return fails
 
 
@@ -490,7 +484,7 @@ def _cutcalc_summary(items: list[tuple[str, CompletedPoset]]) -> str:
     sizes = [(c.parent.arity, c.cut_count) for _, c in items]
     sampled = sum(1 << n > EXHAUSTIVE_MASKS or 3**n > EXHAUSTIVE_PAIRS or k > BOUND_SCAN_SAMPLE
                   for n, k in sizes)
-    masks = sum(min(1 << n, EXHAUSTIVE_MASKS) for n, _ in sizes if n)
+    masks = sum(min(1 << n, EXHAUSTIVE_MASKS) for n, _ in sizes)
     note = f" ({sampled} sampled rather than scanned exhaustively; {masks} masks checked)"
     return f"cutcalc on {len(items)} posets" + (note if sampled else "")
 

@@ -222,9 +222,9 @@ class MacNeilleReport(_Record):
     """
 
     embedding_ok: bool
-    exhaustive: bool
     inf_side_empty: tuple[str, ...]
     failures: tuple[str, ...]
+    exhaustive = True  # not a field: the check is exact; perfbench/tracing.py reads it
 
 
 def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
@@ -261,7 +261,6 @@ def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
     top = has_maximum(poset)
     return MacNeilleReport(
         embedding_ok=not failures,
-        exhaustive=True,
         inf_side_empty=() if top else (cut_label(poset, poset.full_mask),),
         failures=tuple(failures[:8]),
     )

@@ -120,13 +120,11 @@ class BoundChainReport(_Record):
     inf_of_images: Cut
     sup_of_images: Cut
     mu_of_sup: Cut
-    first_holds: bool
-    middle_holds: bool
-    last_holds: bool
 
     @property
     def chain_holds(self) -> bool:
-        return self.first_holds and self.middle_holds and self.last_holds
+        chain = (self.mu_of_inf, self.inf_of_images, self.sup_of_images, self.mu_of_sup)
+        return all(a.mask & ~b.mask == 0 for a, b in zip(chain, chain[1:]))
 
 
 def check_bound_chain(
@@ -169,7 +167,4 @@ def check_bound_chain(
         inf_of_images=inf_img,
         sup_of_images=sup_img,
         mu_of_sup=mu_sup,
-        first_holds=mu_inf.mask & ~inf_img.mask == 0,
-        middle_holds=inf_img.mask & ~sup_img.mask == 0,
-        last_holds=sup_img.mask & ~mu_sup.mask == 0,
     )

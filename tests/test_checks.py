@@ -97,7 +97,6 @@ def test_bound_scan_catches_a_wrong_bound(which, monkeypatch):
             "bounds are not antitone on 0x2 <= 0x3",
             "triple bound operator did not collapse on 0x2",
             "principal sets are not mutual bounds at 1",
-            "singleton closures are not principal at 1",
             "closure is not the sup of embedded members on 0x3",
         ]),
         ("_lower_mask", 0x3, [
@@ -107,6 +106,19 @@ def test_bound_scan_catches_a_wrong_bound(which, monkeypatch):
             "triple bound operator did not collapse on 0x3",
         ]),
         ("_join", (0x1, 0x3), ["closure is not the sup of embedded members on 0x3"]),
+        # the bounds of the empty set: the full-carrier test names them at 0x0
+        ("_upper_mask", 0x0, [
+            "operators disagree with the double loop on 0x0",
+            "full-carrier test for upper bounds broke on 0x0",
+            "bounds are not antitone on 0x0 <= 0x1",
+            "triple bound operator did not collapse on 0x0",
+        ]),
+        ("_lower_mask", 0x0, [
+            "operators disagree with the double loop on 0x0",
+            "full-carrier test for lower bounds broke on 0x0",
+            "bounds are not antitone on 0x0 <= 0x1",
+            "triple bound operator did not collapse on 0x0",
+        ]),
     ],
 )
 def test_bound_calculus_catches_a_one_mask_fault(kernel, fault_on, expected, monkeypatch):

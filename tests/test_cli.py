@@ -344,6 +344,7 @@ class TestCheck:
         assert cli.main(["gen", "--family", "chain", "--n", "17", "--output", str(chain17)]) == 0
         expected = {
             chain_file: "PASS macneille on 1 posets\n",
+            _empty_poset_file(tmp_path): "PASS macneille on 1 posets\n",
             chain17: "PASS macneille on 1 posets (1 sampled rather than scanned exhaustively,"
             " 1 over 16 elements without the cut scan; 83 cut families checked)\n",
         }
@@ -357,6 +358,7 @@ class TestCheck:
         assert cli.main(["gen", "--family", "chain", "--n", "13", "--output", str(chain13)]) == 0
         expected = {
             chain_file: "PASS cutcalc on 1 posets\n",
+            _empty_poset_file(tmp_path): "PASS cutcalc on 1 posets\n",
             chain13: "PASS cutcalc on 1 posets (1 sampled rather than scanned exhaustively;"
             " 4096 masks checked)\n",
         }
@@ -372,6 +374,12 @@ class TestCheck:
             result = run("check", suite, "--input", str(path), "--max-arity", "22")
             assert result.returncode == 0, result.stdout
             assert result.stdout.startswith(f"PASS {suite} on 1 posets")
+
+
+def _empty_poset_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"elements": [], "relation": [], "relation_kind": "covers"}))
+    return path
 
 
 def _record_max_cuts(monkeypatch, module, name, calls):

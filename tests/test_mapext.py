@@ -16,6 +16,7 @@ from ordercomplete.errors import (
     UnknownElement,
 )
 from ordercomplete.mapext import (
+    BoundChainReport,
     PosetMap,
     check_bound_chain,
     extension_cut_map,
@@ -318,6 +319,21 @@ class TestLemmaChain:
         report = check_bound_chain(c, p, mu, family)
         assert report.chain_holds
         assert report.inf_of_images == report.sup_of_images
+
+    @pytest.mark.parametrize(
+        "chain, holds",
+        [
+            ((0, 0, 1, 2), True),
+            ((1, 0, 1, 2), False),  # mu(inf E) escapes inf mu(E)
+            ((0, 1, 0, 2), False),  # inf mu(E) escapes sup mu(E)
+            ((0, 0, 2, 1), False),  # sup mu(E) escapes mu(sup E)
+        ],
+    )
+    def test_chain_holds_only_when_every_link_does(self, chain, holds):
+        # the cuts of a 3-chain are nested: {a}, {a,b}, {a,b,c}
+        c = macneille_completion(chain3())
+        report = BoundChainReport(*(c.cuts[i] for i in chain))
+        assert report.chain_holds is holds
 
     def test_decreasing_map_rejected(self):
         p = chain3()

@@ -1,9 +1,11 @@
 """Every exported name has a user: code in the package or the README;
-and every name a module imports is used in that module."""
+every name a module imports is used in that module; and the README's
+table of caps and check budgets states the value of every such constant."""
 
 import ast
 import re
 import types
+from importlib import import_module
 from pathlib import Path
 
 import ordercomplete
@@ -81,3 +83,29 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert not unused, f"imported but never used: {unused}"
+
+
+CAPS_AND_BUDGETS = {
+    "DEFAULT_MAX_ARITY", "DEFAULT_MAX_CUTS", "DIVISOR_MAX_M", "BRUTE_MAX_ARITY",
+    "EXHAUSTIVE_MASKS", "EXHAUSTIVE_PAIRS", "FAMILY_SAMPLE", "BOUND_SCAN_SAMPLE",
+    "DOUBLE_LOOP_ARITY",
+}
+
+
+def _spellings(value):
+    """The ways the table writes a number: 4,096 or 10^12."""
+    powers = {f"{b}^{e}" for b in range(2, 11) for e in range(2, 41) if b**e == value}
+    return {f"{value:,}"} | powers
+
+
+def test_caps_table_states_every_cap_and_budget():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.partition("Caps and check budgets:")[2].partition("\n\n")[2]
+    rows = re.findall(r"^\| [^|]+ \| `(\w+)\.(\w+)` \| ([^|]+) \|", table, re.M)
+    assert {name for _, name, _ in rows} == CAPS_AND_BUDGETS
+    for module, name, default in rows:
+        value = getattr(import_module(f"ordercomplete.{module}"), name)
+        number = "|".join(map(re.escape, _spellings(value)))
+        assert re.search(rf"(?<![\d,^])({number})(?![\d,^])", default), (
+            f"README states {default.strip()!r} for {module}.{name} = {value}"
+        )
