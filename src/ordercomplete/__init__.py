@@ -14,8 +14,8 @@ _EXPORTS = {
     " sup_cuts to_dot verify_macneille",
     "mapext": "BoundChainReport PosetMap check_bound_chain extension_cut_map extension_mask"
     " is_increasing is_oie",
-    "solver": "AssumptionFlags EquationInstance GlobalReport QuotientPoset SolveReport"
-    " build_equation global_character solve",
+    "solver": "AssumptionFlags EquationInstance GlobalReport SolveReport build_equation"
+    " global_character solve",
     "generators": "GeneratorSpec generate random_equation",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -261,7 +261,7 @@ def check_completion(name: str, completion: CompletedPoset) -> list[str]:
         if [s.mask for s in reference] != list(completion.cut_masks):
             fails.append(f"{name}: enumerated cuts differ from the exhaustive scan")
     try:
-        CompletedPoset(poset, completion.cut_masks, completion.embedding)
+        CompletedPoset(poset, completion.cut_masks)
     except InvalidCut as exc:
         fails.append(f"{name}: completion rejected: {exc}")
     report = verify_macneille(completion)
@@ -341,7 +341,14 @@ def _check_self_complete(name: str, poset: Poset) -> list[str]:
 def check_equation(name: str, instance: EquationInstance) -> list[str]:
     """Solver verdicts against exhaustive search, for every possible target."""
     fails: list[str] = []
-    if not is_oie(instance.t_approx):
+    # by definition: is_oie would compare the trusted quotient with itself
+    a = instance.t_approx.assignment
+    quotient, codomain = instance.quotient.up_masks, instance.codomain.up_masks
+    pulled_back = all(
+        (quotient[i] >> j & 1) == (codomain[a[i]] >> a[j] & 1)
+        for i, j in product(range(len(a)), repeat=2)
+    )
+    if len(set(a)) != len(a) or not pulled_back:
         fails.append(f"{name}: induced class map is not an OIE")
     qc = instance.quotient_completion
     for target in instance.codomain_completion.cuts:

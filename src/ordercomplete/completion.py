@@ -101,10 +101,9 @@ def _canonical_order(by_reversal: dict[int, int]) -> tuple[int, ...]:
 
 
 class CompletedPoset(_Record):
-    """All cuts of a poset in canonical order, plus the element embedding.
+    """All cuts of a poset in canonical order.
 
-    ``embedding[i]`` is the index of the principal cut of element i.  The
-    constructor certifies that the list is exactly the set of cuts: each
+    The constructor certifies that the list is exactly the set of cuts: each
     listed mask is closed, and the list holds the full carrier and
     ``D_x & C`` for every principal down-set D_x and listed cut C.  Every
     cut is an intersection of principal down-sets, so none is missing,
@@ -113,7 +112,6 @@ class CompletedPoset(_Record):
 
     parent: Poset
     cut_masks: tuple[int, ...]
-    embedding: tuple[int, ...]
 
     def __post_init__(self) -> None:
         for mask in self.cut_masks:
@@ -129,10 +127,6 @@ class CompletedPoset(_Record):
             raise InvalidCut("duplicate cut in completion")
         if ordered != tuple(self.cut_masks):
             raise InvalidCut("completion cuts are not in canonical order")
-        k = len(self.cut_masks)
-        pointed = tuple(self.cut_masks[e] if 0 <= e < k else None for e in self.embedding)
-        if pointed != self.parent.down_masks:
-            raise InvalidCut("embedding does not point at the principal cuts")
         required = {d & m for d in set(self.parent.down_masks) for m in self.cut_masks}
         required.add(self.parent.full_mask)
         missing = required.difference(self._mask_index)
@@ -151,6 +145,11 @@ class CompletedPoset(_Record):
     @cached_property
     def _mask_index(self) -> dict[int, int]:
         return {m: i for i, m in enumerate(self.cut_masks)}
+
+    @cached_property
+    def embedding(self) -> tuple[int, ...]:
+        """``embedding[i]`` is the index of the principal cut of element i."""
+        return tuple(map(self._mask_index.__getitem__, self.parent.down_masks))
 
     @property
     def empty_set_is_cut(self) -> bool:
@@ -185,12 +184,7 @@ def macneille_completion(poset: Poset, max_cuts: int = DEFAULT_MAX_CUTS) -> Comp
         if len(found) > max_cuts:
             raise ResourceCap(f"completion exceeds cut cap {max_cuts}")
 
-    cut_masks = _canonical_order(found)
-    index = {m: i for i, m in enumerate(cut_masks)}
-    embedding = tuple(index[poset.down_masks[i]] for i in range(poset.arity))
-    return _trusted(
-        CompletedPoset, parent=poset, cut_masks=cut_masks, embedding=embedding, _mask_index=index
-    )
+    return _trusted(CompletedPoset, parent=poset, cut_masks=_canonical_order(found))
 
 
 def sup_cuts(completion: CompletedPoset, family: Iterable[Subset]) -> Cut:

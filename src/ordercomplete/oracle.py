@@ -119,8 +119,8 @@ def brute_covers(masks: Sequence[int]) -> list[tuple[int, int]]:
     return covers
 
 
-# one table per live instance: consecutive brute_solve calls on one
-# instance (one per target) share it, and it dies with the instance
+# one table per map and cap: equal instances share it across brute_solve
+# calls (one per target), and it dies with the instance that built it
 _image_tables: WeakKeyDictionary = WeakKeyDictionary()
 
 
@@ -129,7 +129,7 @@ def _brute_image_table(instance: EquationInstance) -> tuple[tuple[int, int], ...
     table = _image_tables.get(instance)
     if table is not None:
         return table
-    order = instance.quotient.order
+    order = instance.quotient
     codomain = instance.codomain
     assignment = instance.t_approx.assignment
     pairs = []
@@ -159,4 +159,4 @@ def brute_solve(instance: EquationInstance, target: Subset) -> Cut | None:
         )
     if not matches:
         return None
-    return Cut(instance.quotient.order, matches[0])
+    return Cut(instance.quotient, matches[0])

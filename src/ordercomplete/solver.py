@@ -48,18 +48,6 @@ from .poset import (
 )
 
 
-class QuotientPoset(_Record):
-    """Fibers of a map, ordered by pulling back the codomain order.
-
-    Classes are labeled by their representative (first member in carrier
-    order); ``classes[i]`` lists the member indices of class i.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    order: Poset
-
-
 class AssumptionFlags(_Record):
     """Where a finite instance departs from the no-minimum/no-maximum setting."""
 
@@ -72,22 +60,58 @@ class AssumptionFlags(_Record):
 
 
 class EquationInstance(_Record):
-    """A map T : X -> Y with its quotient, the quotient's completion and T#.
+    """A map T : X -> Y and the cut cap; everything else is read off T.
 
-    ``images[i]`` is the codomain cut mask T# sends the quotient cut
-    ``quotient_completion.cut_masks[i]`` to.  Deciding and solving need
-    only these masks; the codomain completion is built on first use, by
-    the checks that walk every cut of Y, under the same ``max_cuts``.
+    ``classes`` are the fibers of T in first-appearance order, ``quotient``
+    is X_T with each class labeled by its first member, and ``t_approx``
+    the class map into Y.  ``images[i]`` is the codomain cut mask T# sends
+    ``quotient_completion.cut_masks[i]`` to; the codomain completion is
+    built only by the checks that walk every cut of Y, under ``max_cuts``.
     """
 
-    domain: CarrierSet
-    codomain: Poset
     t: PosetMap
-    quotient: QuotientPoset
-    t_approx: PosetMap
-    quotient_completion: CompletedPoset
-    images: tuple[int, ...]
     max_cuts: int = DEFAULT_MAX_CUTS
+
+    def __post_init__(self) -> None:
+        if self.t.source.arity == 0:
+            raise UnknownElement("the domain must be nonvoid")
+
+    @cached_property
+    def domain(self) -> CarrierSet:
+        return self.t.source
+
+    @cached_property
+    def codomain(self) -> Poset:
+        return self.t.target
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        fibers: dict[int, list[int]] = {}
+        for i, image in enumerate(self.t.assignment):
+            fibers.setdefault(image, []).append(i)
+        # filled in carrier order, so class order follows first appearance
+        return tuple(tuple(members) for members in fibers.values())
+
+    @cached_property
+    def t_approx(self) -> PosetMap:
+        class_images = tuple(self.t.assignment[members[0]] for members in self.classes)
+        labels = tuple(self.domain.labels[members[0]] for members in self.classes)
+        # the pulled-back order of distinct images is a partial order
+        up_masks = _pulled_back_order(self.codomain, class_images)
+        order = _trusted(Poset, labels=labels, up_masks=up_masks)
+        return PosetMap(order, self.codomain, class_images)
+
+    @cached_property
+    def quotient(self) -> Poset:
+        return self.t_approx.source
+
+    @cached_property
+    def quotient_completion(self) -> CompletedPoset:
+        return macneille_completion(self.quotient, max_cuts=self.max_cuts)
+
+    @cached_property
+    def images(self) -> tuple[int, ...]:
+        return extension_cut_map(self.t_approx, self.quotient_completion)
 
     @cached_property
     def codomain_completion(self) -> CompletedPoset:
@@ -96,8 +120,8 @@ class EquationInstance(_Record):
     @cached_property
     def assumption_flags(self) -> AssumptionFlags:
         return AssumptionFlags(
-            quotient_has_minimum=has_minimum(self.quotient.order),
-            quotient_has_maximum=has_maximum(self.quotient.order),
+            quotient_has_minimum=has_minimum(self.quotient),
+            quotient_has_maximum=has_maximum(self.quotient),
             codomain_has_minimum=has_minimum(self.codomain),
             codomain_has_maximum=has_maximum(self.codomain),
             empty_set_in_quotient_completion=self.quotient_completion.empty_set_is_cut,
@@ -112,48 +136,20 @@ def build_equation(
     t: PosetMap,
     max_cuts: int = DEFAULT_MAX_CUTS,
 ) -> EquationInstance:
-    """Group the fibers of T, pull back the order, complete the quotient
-    and map every quotient cut A to its image (T(A))^ul."""
+    """The instance of T, with every quotient cut A mapped to its image
+    (T(A))^ul, so a cut cap on the quotient is raised here."""
     if t.source != domain or t.target != codomain:
         raise ParentMismatch("map does not go from the given domain to the codomain")
-    if domain.arity == 0:
-        raise UnknownElement("the domain must be nonvoid")
-
-    fibers: dict[int, list[int]] = {}
-    for i, image in enumerate(t.assignment):
-        fibers.setdefault(image, []).append(i)
-    # filled in carrier order, so class order follows first appearance
-    classes = tuple(tuple(members) for members in fibers.values())
-    representatives = tuple(members[0] for members in classes)
-    class_images = tuple(fibers)
-
-    labels = tuple(domain.labels[r] for r in representatives)
-    # the pulled-back order of distinct images is a partial order
-    up_masks = _pulled_back_order(codomain, class_images)
-    order = _trusted(Poset, labels=labels, up_masks=up_masks)
-    quotient = QuotientPoset(classes, representatives, order)
-    t_approx = PosetMap(order, codomain, class_images)
-
-    quotient_completion = macneille_completion(order, max_cuts=max_cuts)
-    images = extension_cut_map(t_approx, quotient_completion)
+    instance = EquationInstance(t, max_cuts)
+    embedding = instance.quotient_completion.embedding
 
     # principal cuts must land on principal cuts of the class images
-    for i, image in enumerate(class_images):
-        if images[quotient_completion.embedding[i]] != codomain.down_masks[image]:
+    for i, image in enumerate(instance.t_approx.assignment):
+        if instance.images[embedding[i]] != codomain.down_masks[image]:
             raise OrderCompletionError(
                 "extension broke on a principal cut; this is a bug"
             )
-
-    return EquationInstance(
-        domain=domain,
-        codomain=codomain,
-        t=t,
-        quotient=quotient,
-        t_approx=t_approx,
-        quotient_completion=quotient_completion,
-        images=images,
-        max_cuts=max_cuts,
-    )
+    return instance
 
 
 class EmptyFamilyFlags(_Record):

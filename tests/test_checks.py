@@ -1,5 +1,6 @@
 """The poset check suites: what they scan, how much, and that the family
-scan catches a wrong bound.
+scan catches a wrong bound; and that the equation check catches a class
+map that is not an order isomorphic embedding.
 
 The coverage digest pins every family ``_iter_index_families`` yields at
 the call sites of the suites, and the element masks ``_sampled_masks``
@@ -13,9 +14,10 @@ import hashlib
 import pytest
 
 from ordercomplete import checks
-from ordercomplete.completion import macneille_completion
-from ordercomplete.generators import GeneratorSpec, generate
+from ordercomplete.completion import _trusted, macneille_completion
+from ordercomplete.generators import GeneratorSpec, generate, random_equation
 from ordercomplete.jsonio import poset_from_data
+from ordercomplete.solver import EquationInstance
 
 from test_golden import _standard, check_inputs
 
@@ -155,3 +157,16 @@ def test_closed_forms_runs_the_lattice_test_on_every_lattice(monkeypatch):
         + [f"divisor({m})" for m in range(1, 61)]
     )
     assert set(lattices) <= set(seen)
+
+
+def test_equation_check_catches_a_class_map_that_is_not_an_oie():
+    # the fiber (0, 2) split in two: two classes with one image, so the
+    # quotient order pulled back onto them is not antisymmetric
+    instance = random_equation(1)
+    assert instance.classes == ((0, 2), (1,), (3,))
+    split = _trusted(
+        EquationInstance, t=instance.t, max_cuts=instance.max_cuts,
+        classes=((0,), (1,), (2,), (3,)),
+    )
+    assert split.t_approx.assignment == (1, 2, 1, 0)
+    assert "split: induced class map is not an OIE" in checks.check_equation("split", split)

@@ -181,7 +181,7 @@ class TestEnumeration:
         p = chain3()
         c = macneille_completion(p)
         with pytest.raises(InvalidCut):
-            CompletedPoset(p, tuple(reversed(c.cut_masks)), c.embedding)
+            CompletedPoset(p, tuple(reversed(c.cut_masks)))
 
     def test_completion_constructor_rejects_each_fault(self):
         p = standard(3)
@@ -208,19 +208,7 @@ class TestEnumeration:
         ]
         for message, listed in faults:
             with pytest.raises(InvalidCut, match=message):
-                CompletedPoset(p, tuple(listed), c.embedding)
-        with pytest.raises(InvalidCut, match="embedding"):
-            CompletedPoset(p, c.cut_masks, tuple(reversed(c.embedding)))
-
-    @pytest.mark.parametrize(
-        "embedding", [(0, 1, 7), (0, 5), (0,), (-1, 1)], ids=["extra", "range", "short", "negative"]
-    )
-    def test_completion_constructor_rejects_bad_embedding_shape(self, embedding):
-        p = build_poset(["a", "b"], [("a", "b")])
-        c = macneille_completion(p)
-        assert c.embedding == (0, 1)
-        with pytest.raises(InvalidCut, match="embedding"):
-            CompletedPoset(p, c.cut_masks, embedding)
+                CompletedPoset(p, tuple(listed))
 
     @given(
         st.integers(0, 24).flatmap(
@@ -353,12 +341,10 @@ class TestVerification:
         pair = [poset.subset(["a0", "a2", "a3"]).mask, poset.subset(["a0", "a1", "a4"]).mask]
         for dropped, first in [([middle], middle), (pair, pair[1])]:
             masks = tuple(m for m in full.cut_masks if m not in dropped)
-            index = {m: i for i, m in enumerate(masks)}
-            embedding = tuple(index[d] for d in poset.down_masks)
             named = re.escape(f"completion misses the cut {cut_label(poset, first)}")
             with pytest.raises(InvalidCut, match=named):
-                CompletedPoset(poset, masks, embedding)
-        assert CompletedPoset(poset, full.cut_masks, full.embedding) == full
+                CompletedPoset(poset, masks)
+        assert CompletedPoset(poset, full.cut_masks) == full
 
     def test_verification_is_exhaustive_at_every_size(self):
         # 12, 14 and 20 elements: the checks are exact, with no sampling
@@ -439,16 +425,18 @@ class TestValidateOnce:
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_public_constructor_accepts_standard(self, n):
         c = macneille_completion(standard(n))
-        assert CompletedPoset(c.parent, c.cut_masks, c.embedding) == c
+        assert CompletedPoset(c.parent, c.cut_masks) == c
 
     def test_public_constructor_accepts_corpus(self):
         for name, c in checks.corpus_posets(200):
-            assert CompletedPoset(c.parent, c.cut_masks, c.embedding) == c, name
+            assert CompletedPoset(c.parent, c.cut_masks) == c, name
 
     @given(posets(max_n=12))
     def test_public_constructor_accepts_random(self, poset):
         c = macneille_completion(poset)
-        assert CompletedPoset(poset, c.cut_masks, c.embedding) == c
+        certified = CompletedPoset(poset, c.cut_masks)
+        assert certified == c
+        assert certified.embedding == c.embedding
 
     @given(posets(max_n=8), st.integers(0, 2**16 - 1))
     def test_bound_cuts_are_cuts(self, poset, selector):
@@ -459,7 +447,7 @@ class TestValidateOnce:
 
     def test_solve_report_cuts_are_cuts(self):
         for _, instance in checks.equation_corpus(20):
-            order = instance.quotient.order
+            order = instance.quotient
             assert Poset(order.labels, order.up_masks) == order
             for target in instance.codomain_completion.cuts:
                 report = solve(instance, target)
@@ -504,8 +492,8 @@ class TestValidateOnce:
         assert counter["calls"] == len(corpus)
 
     def test_check_completion_reports_a_rejected_list(self, monkeypatch):
-        def without_top(poset, cut_masks, embedding):
-            return CompletedPoset(poset, cut_masks[:-1], embedding)
+        def without_top(poset, cut_masks):
+            return CompletedPoset(poset, cut_masks[:-1])
 
         monkeypatch.setattr(checks, "CompletedPoset", without_top)
         fails = checks.check_completion("pair", macneille_completion(antichain(2)))
@@ -549,10 +537,10 @@ class TestDotExport:
     def test_missing_cut_raises_invalid_cut(self):
         p = antichain(2)
         full = macneille_completion(p)
-        # {}, {a0}, {a1} without the top {a0,a1}; the embedding still holds,
-        # and the constructor names the missing cut before to_dot can run
+        # {}, {a0}, {a1} without the top {a0,a1}: the constructor names
+        # the missing cut before to_dot can run
         with pytest.raises(InvalidCut, match="misses the cut {a0,a1}"):
-            CompletedPoset(p, full.cut_masks[:-1], full.embedding)
+            CompletedPoset(p, full.cut_masks[:-1])
 
     def test_dot_marks_principal_cuts(self):
         p = antichain(2)

@@ -174,7 +174,7 @@ class TestGridFn:
     def test_dilate_collapses_fibers(self):
         instance = generate(GeneratorSpec("gridfn", g=2, v=2, stencil="dilate"))
         # 01 and 10 both dilate to 11, so the quotient is smaller
-        assert len(instance.quotient.classes) < instance.domain.arity
+        assert len(instance.classes) < instance.domain.arity
 
     def test_default_stencil_is_identity(self):
         labels, _, mapping = describe(GeneratorSpec("gridfn", g=2, v=2))

@@ -39,14 +39,14 @@ NEVER_RUN = {
     "gen": {"checks", "oracle", "solver", "mapext"},
 }
 
-# ordercomplete.__all__ when the package imported its modules eagerly
+# ordercomplete.__all__: the public names, each one deliberate
 PUBLIC = [
     "AssumptionFlags", "BadSpec", "BoundChainReport", "CarrierSet", "CompletedPoset",
     "Cut", "CycleDetected", "DuplicateLabel", "EmptyFamily", "EquationInstance",
     "GeneratorSpec", "GlobalReport", "InvalidCut", "InvalidInput", "MacNeilleReport",
     "MultipleSolutions", "NoBound", "NotAPartialOrder", "NotIncreasing",
-    "OrderCompletionError", "ParentMismatch", "Poset", "PosetMap", "QuotientPoset",
-    "ResourceCap", "SchemaError", "SolveReport", "SourceNotOrdered", "Subset",
+    "OrderCompletionError", "ParentMismatch", "Poset", "PosetMap", "ResourceCap",
+    "SchemaError", "SolveReport", "SourceNotOrdered", "Subset",
     "UnknownElement", "UnknownSuite", "build_equation", "build_poset",
     "check_bound_chain", "completion", "errors", "extension_cut_map", "extension_mask",
     "generate", "generators", "global_character", "has_maximum", "has_minimum",

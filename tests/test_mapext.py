@@ -364,10 +364,10 @@ class TestLemmaChain:
     def test_incomplete_source_completion_rejected(self):
         p = antichain2()
         full = macneille_completion(p)
-        # {}, {p}, {q} without the top {p,q}; the embedding still holds,
-        # and the constructor names the missing cut before the chain can run
+        # {}, {p}, {q} without the top {p,q}: the constructor names the
+        # missing cut before the chain can run
         with pytest.raises(InvalidCut, match="misses the cut {p,q}"):
-            CompletedPoset(p, full.cut_masks[:-1], full.embedding)
+            CompletedPoset(p, full.cut_masks[:-1])
 
     def test_increasing_verdict_matches_pair_scan(self):
         rng = random.Random(7)

@@ -89,7 +89,6 @@ class TestBruteBound:
             CompletedPoset,
             parent=poset,
             cut_masks=(full.cut_masks[1], full.cut_masks[2]),
-            embedding=(0, 1),
         )
         with pytest.raises(NoBound):
             brute_bound(partial, list(partial.cuts), "sup")

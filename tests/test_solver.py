@@ -1,20 +1,23 @@
+from operator import attrgetter
+
 import pytest
 
-from ordercomplete.completion import macneille_completion
+from ordercomplete.completion import _trusted, macneille_completion
 from ordercomplete.errors import InvalidCut, ParentMismatch, ResourceCap, UnknownElement
-from ordercomplete.generators import random_equation
+from ordercomplete.generators import STENCILS, GeneratorSpec, generate, random_equation
 from ordercomplete.mapext import PosetMap, is_oie
 from ordercomplete.oracle import brute_closure, brute_cuts, brute_solve
 from ordercomplete.poset import CarrierSet, Subset, build_poset
-from ordercomplete.solver import build_equation, global_character, solve
+from ordercomplete.solver import EquationInstance, build_equation, global_character, solve
 
 from conftest import leq
 
 
 def replace(record, **changes):
-    """A record of the same class with some fields changed, built through
-    the validating constructor."""
-    return type(record)(**{**record._asdict(), **changes})
+    """A record of the same class with some fields or derived values
+    changed and the rest kept, built without validation: the changed
+    values are faults the checks must catch."""
+    return _trusted(type(record), **{**vars(record), **changes})
 
 
 def chain(labels):
@@ -40,14 +43,14 @@ class TestQuotient:
     def test_single_fiber_collapses(self):
         codomain = chain(["p", "q"])
         instance = make_instance(["u", "v"], codomain, {"u": "p", "v": "p"})
-        assert instance.quotient.classes == ((0, 1),)
-        assert instance.quotient.order.arity == 1
-        assert instance.quotient.order.labels == ("u",)
+        assert instance.classes == ((0, 1),)
+        assert instance.quotient.arity == 1
+        assert instance.quotient.labels == ("u",)
 
     def test_injective_map_pulls_back_antichain(self):
         codomain = build_poset(["p", "q", "r"], [])
         instance = make_instance(["u", "v", "w"], codomain, {"u": "p", "v": "q", "w": "r"})
-        order = instance.quotient.order
+        order = instance.quotient
         assert order.labels == ("u", "v", "w")
         for a in order.labels:
             for b in order.labels:
@@ -56,9 +59,8 @@ class TestQuotient:
     def test_two_classes_make_a_chain(self):
         codomain = chain(["p", "q", "r"])
         instance = make_instance(["u", "v", "w"], codomain, {"u": "p", "v": "q", "w": "q"})
-        assert instance.quotient.classes == ((0,), (1, 2))
-        assert instance.quotient.representatives == (0, 1)
-        order = instance.quotient.order
+        assert instance.classes == ((0,), (1, 2))
+        order = instance.quotient
         assert order.labels == ("u", "v")
         assert leq(order, "u", "v") and not leq(order, "v", "u")
 
@@ -69,7 +71,7 @@ class TestQuotient:
     def test_quotient_order_is_the_pulled_back_codomain_order(self):
         for seed in range(300):
             instance = random_equation(seed)
-            codomain, order = instance.codomain, instance.quotient.order
+            codomain, order = instance.codomain, instance.quotient
             images = [codomain.labels[y] for y in instance.t_approx.assignment]
             for a, x in zip(order.labels, images):
                 for b, y in zip(order.labels, images):
@@ -81,6 +83,17 @@ class TestQuotient:
         t = PosetMap(domain, codomain, ())
         with pytest.raises(UnknownElement):
             build_equation(domain, codomain, t)
+        with pytest.raises(UnknownElement):
+            EquationInstance(t)
+
+    def test_constructor_and_builder_give_the_same_instance(self):
+        derived = attrgetter("classes", "quotient", "t_approx", "quotient_completion", "images")
+        grids = [generate(GeneratorSpec("gridfn", g=2, v=4, stencil=s)) for s in STENCILS]
+        for built in [*map(random_equation, range(400)), *grids]:
+            t = built.t
+            direct = EquationInstance(t, built.max_cuts)
+            assert direct == build_equation(t.source, t.target, t, built.max_cuts) == built
+            assert derived(direct) == derived(built)
 
     def test_mismatched_map_rejected(self):
         codomain = chain(["p", "q"])
