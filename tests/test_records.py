@@ -44,8 +44,8 @@ def samples():
 
 SAMPLES = samples()
 
-# every record stores only what cannot be derived from its other fields:
-# a field added here has to say why it cannot be read off the rest
+# every record's stored fields, pinned so that a field added back, such as
+# a value that could be read off the others, shows up in review
 FIELDS = {
     "AssumptionFlags": (
         "quotient_has_minimum", "quotient_has_maximum", "codomain_has_minimum",
