@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import jsonio
@@ -221,8 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first ``main`` call and shared by every later call in the process
+_shared_parser = cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceCap as exc:

@@ -35,6 +35,7 @@ from .poset import (
     _closure_mask,
     _join,
     _lower_mask,
+    _mask_labels,
     _mask_members,
     _meet,
     _require_same_parent,
@@ -54,7 +55,7 @@ def _trusted(cls, **fields):
 
 def cut_label(poset: Poset, mask: int) -> str:
     """Canonical printable name of a cut, e.g. ``{a,b}``."""
-    return "{" + ",".join(poset.labels[i] for i in _mask_members(mask)) + "}"
+    return "{" + ",".join(_mask_labels(poset._label_tables, mask)) + "}"
 
 
 class Cut(Subset):

@@ -5,11 +5,14 @@ payloads additionally carry ``schema_version``.  Output is canonical:
 element order follows the input label order, cuts follow the completion
 order, and no payload contains timestamps, so equal inputs produce
 byte-equal outputs.
+
+Report payloads hold subsets and completions, which ``dumps`` writes from
+their masks; its text is ``json.dumps(data, indent=2, ensure_ascii=False)``'s.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .completion import CompletedPoset
@@ -20,6 +23,7 @@ from .poset import (
     Parent,
     Poset,
     Subset,
+    _mask_labels,
     _mask_members,
     build_poset,
 )
@@ -31,7 +35,41 @@ SCHEMA_VERSION = 1
 
 
 def dumps(data: Any) -> str:
-    return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
+    """Report text: a ``Subset`` is its member names, a ``CompletedPoset`` its cuts."""
+    return _text(data, "\n") + "\n"
+
+
+def _text(value: Any, newline: str) -> str:
+    """JSON text of ``value``, whose lines after the first start ``newline``."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring(k) + ": " + _text(v, inner) for k, v in value.items()]
+        return _block("{", items, newline, "}")
+    if isinstance(value, (list, tuple)):
+        return _block("[", [_text(item, inner) for item in value], newline, "]")
+    if isinstance(value, Subset):
+        return _block("[", _mask_labels(value.parent._json_label_tables, value.mask), newline, "]")
+    if isinstance(value, CompletedPoset):
+        tables = value.parent._json_label_tables
+        cuts = [_block("[", _mask_labels(tables, m), inner, "]") for m in value.cut_masks]
+        return _block("[", cuts, newline, "]")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _block(opening: str, items: Sequence[str], newline: str, closing: str) -> str:
+    """An array or object of item texts, one item per line."""
+    if not items:
+        return opening + closing
+    inner = newline + "  "
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 def _expect_list_of_strings(value: Any, where: str) -> list[str]:
@@ -115,10 +153,6 @@ def source_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> Parent:
     return carrier_from_data(data)
 
 
-def subset_to_data(subset: Subset) -> list[str]:
-    return list(subset.names())
-
-
 def _mapping_from_data(data: Any) -> dict[str, str]:
     data = _expect_dict(data, "map assignment")
     for key, value in data.items():
@@ -182,27 +216,14 @@ def completed_to_data(completion: CompletedPoset) -> dict:
     parent = completion.parent
     return {
         "parent": poset_to_data(parent),
-        "cuts": [
-            [parent.labels[i] for i in _mask_members(mask)]
-            for mask in completion.cut_masks
-        ],
-        "embedding": {
-            parent.labels[i]: completion.embedding[i] for i in range(parent.arity)
-        },
+        "cuts": completion,
+        "embedding": dict(zip(parent.labels, completion.embedding)),
     }
 
 
 def solve_report_to_data(report: SolveReport) -> dict:
-    # the field order of each flags record is its JSON key order
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "target": subset_to_data(report.target),
-        "solvable": report.solvable,
-        "solution": None if report.solution is None else subset_to_data(report.solution),
-        "sup_of_images": subset_to_data(report.sup_of_images),
-        "inf_of_images": subset_to_data(report.inf_of_images),
-        "lower_family": [subset_to_data(c) for c in report.lower_family],
-        "upper_family": [subset_to_data(c) for c in report.upper_family],
-        "empty_family_flags": report.empty_family_flags._asdict(),
-        "assumption_flags": report.assumption_flags._asdict(),
-    }
+    # the report's fields, in order, are the payload's keys; each flags record is an object
+    data = {"schema_version": SCHEMA_VERSION, **report._asdict()}
+    for flags in ("empty_family_flags", "assumption_flags"):
+        data[flags] = data[flags]._asdict()
+    return data

@@ -15,7 +15,7 @@ elements, the intersections of the rows picked by each byte value,
 so A^u and A^l cost one lookup per chunk: at most three at the default
 arity cap of 20.  The same kernel holds the two lattice operations on
 cuts: ``_join`` (the closure of the union) and ``_meet`` (the plain
-intersection).
+intersection).  Tables built the same way name a mask's members.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -24,7 +24,7 @@ function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import and_, attrgetter, or_
+from operator import add, and_, attrgetter, or_
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
@@ -40,20 +40,26 @@ DEFAULT_MAX_ARITY = 20
 _setattr = object.__setattr__
 
 
-def _row_tables(rows: Sequence[int], full: int) -> tuple[tuple[int, ...], ...]:
-    """Per-byte intersection tables of a list of rows.
-
-    ``tables[c][b]`` is the intersection of ``full`` with the rows
-    ``8c + i`` for the set bits i of b.  Each row doubles its table: the
-    new upper half is the old table intersected with that row.
-    """
+def _row_tables(rows: Sequence, start, combine) -> tuple[tuple, ...]:
+    """Per-byte tables: ``tables[c][b]`` is ``start`` combined, in order,
+    with the rows ``8c + i`` for the set bits i of b.  Each row doubles its
+    table: the new upper half is the old table combined with that row."""
     tables = []
-    for start in range(0, len(rows), 8):
-        table = [full]
-        for row in rows[start : start + 8]:
-            table += [entry & row for entry in table]
+    for first in range(0, len(rows), 8):
+        table = [start]
+        for row in rows[first : first + 8]:
+            table += [combine(entry, row) for entry in table]
         tables.append(tuple(table))
     return tuple(tables)
+
+
+def _mask_labels(tables: tuple[tuple[tuple[str, ...], ...], ...], mask: int) -> tuple[str, ...]:
+    """The labels of a mask's members, one lookup per chunk of 8 elements."""
+    out = ()
+    for table in tables:
+        out += table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
@@ -161,6 +167,17 @@ class CarrierSet(_Record):
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.labels)}
 
+    @cached_property
+    def _label_tables(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        """``_row_tables`` of the labels: ``[c][b]`` names the set bits of b."""
+        return _row_tables([(label,) for label in self.labels], (), add)
+
+    @cached_property
+    def _json_label_tables(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        """``_label_tables`` of the labels as JSON string literals."""
+        from json.encoder import encode_basestring
+        return _row_tables([(encode_basestring(label),) for label in self.labels], (), add)
+
 
 class Poset(CarrierSet):
     """A finite partial order: a carrier and its order relation.
@@ -197,11 +214,11 @@ class Poset(CarrierSet):
 
     @cached_property
     def _up_tables(self) -> tuple[tuple[int, ...], ...]:
-        return _row_tables(self.up_masks, self.full_mask)
+        return _row_tables(self.up_masks, self.full_mask, and_)
 
     @cached_property
     def _down_tables(self) -> tuple[tuple[int, ...], ...]:
-        return _row_tables(self.down_masks, self.full_mask)
+        return _row_tables(self.down_masks, self.full_mask, and_)
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:

@@ -420,6 +420,57 @@ class TestBuildOnce:
             assert calls == [7], command
 
 
+class TestSharedParser:
+    """``main`` builds its parser on the first call and reuses it; no call
+    leaks into the next."""
+
+    @staticmethod
+    def call(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse errors and --help
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def first_call(self, argv, capsys):
+        """The result of ``argv`` as the first call of a process."""
+        cli._shared_parser.cache_clear()
+        return self.call(argv, capsys)
+
+    def test_many_calls_match_first_calls(self, chain_file, tmp_path, capsys):
+        report, dot = tmp_path / "report.json", tmp_path / "graph.dot"
+        with_files = ["complete", "--input", str(chain_file)]
+        with_files += ["--output", str(report), "--emit-dot", str(dot)]
+        calls = [
+            with_files,
+            ["complete", "--input", str(chain_file)],
+            ["solve", "--input", str(chain_file)],  # no --target
+            ["export", "--input", str(chain_file), "--max-cuts", "2"],
+            ["gen", "--family", "chain", "--n", "3"],
+            ["check", "--help"],
+        ]
+        first = [self.first_call(argv, capsys) for argv in calls]
+        assert first[0] == (0, "")
+        assert first[1] == (0, report.read_text())
+        assert first[2] == (2, "")
+        assert first[3] == (3, "")
+        assert first[5][0] == 0
+        assert set(checks.SUITES) <= set(first[5][1].replace(",", " ").split())
+
+        before = cli._shared_parser.cache_info().misses
+        for argv, expected in zip(calls + calls[::-1] + calls, first + first[::-1] + first):
+            report.unlink(missing_ok=True)
+            dot.unlink(missing_ok=True)
+            assert self.call(argv, capsys) == expected, argv
+            assert (report.exists(), dot.exists()) == (argv is with_files,) * 2, argv
+        assert cli._shared_parser.cache_info().misses == before
+
+    def test_import_builds_no_parser(self):
+        probe = "import ordercomplete.cli as c; print(c._shared_parser.cache_info().misses)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, "0\n")
+
+
 class TestInternalErrors:
     """A broken invariant exits 1 with one ``error: internal:`` line."""
 

@@ -132,6 +132,11 @@ class TestEnumeration:
         c = macneille_completion(antichain(2))
         assert c.cut_labels() == ("{}", "{a0}", "{a1}", "{a0,a1}")
 
+    def test_cut_labels_over_three_bytes_of_elements(self):
+        c = macneille_completion(standard(10))  # 20 elements
+        names = tuple("{" + ",".join(cut.names()) + "}" for cut in c.cuts)
+        assert c.cut_labels() == names
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_antichain_counts(self, n):
         poset = antichain(n)
