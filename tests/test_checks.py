@@ -141,6 +141,24 @@ def test_bound_calculus_catches_a_one_mask_fault(kernel, fault_on, expected, mon
     ]
 
 
+@pytest.mark.parametrize("table", ["_up_tables", "_down_tables"])
+@pytest.mark.parametrize("chunk", [0, 1, 2])
+@pytest.mark.parametrize("entry", [5, -1])
+def test_bound_calculus_names_a_wrong_table_entry_in_every_chunk(table, chunk, entry):
+    """check cutcalc compares every mask inside one chunk of 8 elements with
+    the double loop, so it names a flipped bit in any entry of either bound
+    table: here bit 0 of entry 5 and of the last entry, in each of the three
+    chunks of S_10."""
+    completion = macneille_completion(poset_from_data(_standard(10)))
+    poset = completion.parent
+    tables = [list(chunk_table) for chunk_table in getattr(poset, table)]
+    entry %= len(tables[chunk])
+    tables[chunk][entry] ^= 1
+    vars(poset)[table] = tuple(map(tuple, tables))
+    line = f"S_10: operators disagree with the double loop on {entry << 8 * chunk:#x}"
+    assert line in checks.check_bound_calculus("S_10", completion)
+
+
 def test_closed_forms_runs_the_lattice_test_on_every_lattice(monkeypatch):
     seen = []
     real = checks._check_self_complete

@@ -338,6 +338,22 @@ class TestCheck:
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("PASS solvability criterion on 1 instances")
 
+    def test_search_runs_on_a_20_class_quotient(self, tmp_path):
+        """The identity of S_10: 20 classes, the arity cap, and 1,024 cuts."""
+        s10 = _standard(10)
+        equation = tmp_path / "equation.json"
+        equation.write_text(
+            json.dumps(
+                {
+                    "domain": {"elements": s10["elements"]},
+                    "codomain": s10,
+                    "map": {x: x for x in s10["elements"]},
+                }
+            )
+        )
+        result = run("check", "theorem41", "--input", str(equation))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "PASS solvability criterion on 1 instances\n"
 
     def test_macneille_names_the_posets_it_did_not_scan(self, chain_file, tmp_path, capsys):
         chain17 = tmp_path / "chain17.json"
@@ -345,8 +361,10 @@ class TestCheck:
         expected = {
             chain_file: "PASS macneille on 1 posets\n",
             _empty_poset_file(tmp_path): "PASS macneille on 1 posets\n",
-            chain17: "PASS macneille on 1 posets (1 sampled rather than scanned exhaustively,"
-            " 1 over 16 elements without the cut scan; 83 cut families checked)\n",
+            chain17: "PASS macneille on 1 posets (1 sampled rather than scanned exhaustively;"
+            " 83 cut families checked)\n",
+            _s10_file(tmp_path): "PASS macneille on 1 posets (1 sampled rather than scanned"
+            " exhaustively; 130 cut families checked)\n",
         }
         capsys.readouterr()
         for path, line in expected.items():
@@ -361,6 +379,8 @@ class TestCheck:
             _empty_poset_file(tmp_path): "PASS cutcalc on 1 posets\n",
             chain13: "PASS cutcalc on 1 posets (1 sampled rather than scanned exhaustively;"
             " 4096 masks checked)\n",
+            _s10_file(tmp_path): "PASS cutcalc on 1 posets (1 sampled rather than scanned"
+            " exhaustively; 4096 masks checked)\n",
         }
         capsys.readouterr()
         for path, line in expected.items():
@@ -374,6 +394,12 @@ class TestCheck:
             result = run("check", suite, "--input", str(path), "--max-arity", "22")
             assert result.returncode == 0, result.stdout
             assert result.stdout.startswith(f"PASS {suite} on 1 posets")
+
+
+def _s10_file(tmp_path):
+    path = tmp_path / "s10.json"
+    path.write_text(json.dumps(_standard(10)))
+    return path
 
 
 def _empty_poset_file(tmp_path):

@@ -2,6 +2,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ordercomplete.completion import (
     CompletedPoset,
@@ -10,19 +12,52 @@ from ordercomplete.completion import (
     macneille_completion,
     sup_cuts,
 )
-from ordercomplete.errors import NoBound, ResourceCap
+from ordercomplete.errors import NoBound
 from ordercomplete.generators import GeneratorSpec, generate, random_equation
+from ordercomplete.jsonio import poset_from_data
 from ordercomplete.oracle import (
     _brute_image_table,
+    _members,
     brute_bound,
+    brute_closure,
     brute_cuts,
     brute_solve,
 )
-from ordercomplete.poset import build_poset
+from ordercomplete.poset import _upper_mask, build_poset
+
+from conftest import posets
+from test_golden import _standard
 
 
 def chain3():
     return build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+def subset_scan(poset):
+    """Cut masks by the closure of every one of the 2^n subsets, in the
+    oracle's order: the test-side arbiter for NextClosure."""
+    masks = [m for m in range(1 << poset.arity) if brute_closure(poset, m) == m]
+    return sorted(masks, key=lambda m: (len(_members(m)), _members(m)))
+
+
+def _large_random(seed):
+    n, density = 13 + seed % 8, (0.15, 0.3, 0.5, 0.7)[seed % 4]
+    spec = GeneratorSpec("random", n=n, density=density, seed=seed)
+    return pytest.param(generate(spec), id=f"random(n={n},density={density},seed={seed})")
+
+
+@st.composite
+def shuffled_posets(draw, max_n):
+    """``posets`` with the elements renumbered, so that index order need not
+    extend the order."""
+    poset = draw(posets(max_n))
+    labels = draw(st.permutations(poset.labels))
+    pairs = [
+        (poset.labels[i], poset.labels[j])
+        for i in range(poset.arity)
+        for j in _members(poset.up_masks[i])
+    ]
+    return build_poset(labels, pairs, "full")
 
 
 class TestBruteCuts:
@@ -38,10 +73,37 @@ class TestBruteCuts:
         poset = build_poset(["a"], [])
         assert len(brute_cuts(poset)) == 1
 
-    def test_arity_cap(self):
-        with pytest.raises(ResourceCap):
-            brute_cuts(generate(GeneratorSpec("chain", n=17)))
+    def test_reaches_the_arity_cap(self):
         assert len(brute_cuts(generate(GeneratorSpec("boolean", k=4)))) == 16
+        assert len(brute_cuts(generate(GeneratorSpec("chain", n=20)))) == 20
+
+    @given(shuffled_posets(max_n=12))
+    def test_matches_the_scan_of_every_subset(self, poset):
+        assert [s.mask for s in brute_cuts(poset)] == subset_scan(poset)
+
+    @pytest.mark.parametrize(
+        "poset",
+        [
+            pytest.param(poset_from_data(_standard(10)), id="S_10"),
+            pytest.param(generate(GeneratorSpec("chain", n=20)), id="chain(20)"),
+            pytest.param(generate(GeneratorSpec("antichain", n=20)), id="antichain(20)"),
+        ]
+        + [_large_random(seed) for seed in range(40)],
+    )
+    def test_matches_the_enumeration_above_the_scan(self, poset):
+        """13 to 20 elements, where the scan of every subset is too slow."""
+        reference = [s.mask for s in brute_cuts(poset)]
+        assert reference == list(macneille_completion(poset).cut_masks)
+
+    def test_shares_no_kernel_with_the_fast_path(self):
+        """Wrong bound tables, as a fault in the fast kernel would leave
+        them, do not move the oracle's cuts."""
+        poset = generate(GeneratorSpec("random", n=18, density=0.3, seed=7))
+        reference = [s.mask for s in brute_cuts(poset)]
+        for table in ("_up_tables", "_down_tables"):
+            vars(poset)[table] = tuple((0,) * len(chunk) for chunk in getattr(poset, table))
+        assert _upper_mask(poset, 0) != poset.full_mask  # the fast kernel is broken
+        assert [s.mask for s in brute_cuts(poset)] == reference
 
 
 class TestBruteBound:

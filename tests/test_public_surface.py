@@ -1,6 +1,7 @@
 """Every exported name has a user: code in the package or the README;
-every name a module imports is used in that module; and the README's
-table of caps and check budgets states the value of every such constant."""
+every name a module imports is used in that module; the oracle imports
+no kernel of the fast path; and the README's table of caps and check
+budgets states the value of every such constant."""
 
 import ast
 import re
@@ -85,10 +86,23 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, f"imported but never used: {unused}"
 
 
+def test_oracle_shares_no_kernel_with_the_fast_path():
+    """What its docstring promises: of ``poset`` and ``completion``, the
+    oracle imports only the value type and the return containers."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8"))
+    paths = {
+        f"{getattr(node, 'module', None) or ''}.{alias.name}".strip(".")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import | ast.ImportFrom)
+        for alias in node.names
+    }
+    fast = {path for path in paths if {"poset", "completion"} & set(path.split("."))}
+    assert fast == {"poset.Poset", "poset.Subset", "completion.CompletedPoset", "completion.Cut"}
+
+
 CAPS_AND_BUDGETS = {
-    "DEFAULT_MAX_ARITY", "DEFAULT_MAX_CUTS", "DIVISOR_MAX_M", "BRUTE_MAX_ARITY",
+    "DEFAULT_MAX_ARITY", "DEFAULT_MAX_CUTS", "DIVISOR_MAX_M",
     "EXHAUSTIVE_MASKS", "EXHAUSTIVE_PAIRS", "FAMILY_SAMPLE", "BOUND_SCAN_SAMPLE",
-    "DOUBLE_LOOP_ARITY",
 }
 
 
