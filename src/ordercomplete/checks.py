@@ -28,16 +28,14 @@ from __future__ import annotations
 import random
 from functools import cache, partial
 from itertools import product
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .completion import (
     CompletedPoset,
     _lower_mask,
     _upper_mask,
     cut_label,
-    inf_cuts,
     macneille_completion,
-    sup_cuts,
     verify_macneille,
 )
 from .errors import InvalidCut, NotIncreasing
@@ -46,7 +44,7 @@ from .mapext import PosetMap, check_bound_chain, extension_cut_map, is_increasin
 from .oracle import brute_bound, brute_cuts, brute_lower, brute_solve, brute_upper
 from .poset import Poset, _join, _mask_members, _meet, _submasks, build_poset
 from .poset import maximum_index, minimum_index
-from .solver import EquationInstance, global_character, solve
+from .solver import EquationInstance, _criterion, global_character
 
 EXHAUSTIVE_MASKS = 4096  # all subsets when 2^count fits
 EXHAUSTIVE_PAIRS = 19683  # all subset pairs when 3^arity fits
@@ -91,26 +89,30 @@ def _family_count(count: int, sample_budget: int) -> int:
 
 def corpus_posets(random_count: int) -> list[tuple[str, CompletedPoset]]:
     """Completions of the structured families, then of ``random_count`` random posets."""
-    out = []
-    for n in range(1, 9):
-        out.append((f"chain({n})", generate(GeneratorSpec("chain", n=n))))
-    for n in range(1, 9):
-        out.append((f"antichain({n})", generate(GeneratorSpec("antichain", n=n))))
-    for k in range(0, 5):
-        out.append((f"boolean({k})", generate(GeneratorSpec("boolean", k=k))))
-    for m in range(1, 61):
-        out.append((f"divisor({m})", generate(GeneratorSpec("divisor", m=m))))
+    return list(_iter_corpus_posets(random_count))
+
+
+def _iter_corpus_posets(random_count: int) -> Iterator[tuple[str, CompletedPoset]]:
+    structured = (("chain", "n", range(1, 9)), ("antichain", "n", range(1, 9)),
+                  ("boolean", "k", range(5)), ("divisor", "m", range(1, 61)))
+    for family, param, values in structured:
+        for value in values:
+            spec = GeneratorSpec(family, **{param: value})
+            yield f"{family}({value})", macneille_completion(generate(spec))
     densities = (0.15, 0.3, 0.5, 0.7)
     for seed in range(random_count):
         n = 2 + seed % 7  # 2 to 8 elements
         density = densities[seed % len(densities)]
         spec = GeneratorSpec("random", n=n, density=density, seed=seed)
-        out.append((f"random(n={n},density={density},seed={seed})", generate(spec)))
-    return [(name, macneille_completion(poset)) for name, poset in out]
+        yield f"random(n={n},density={density},seed={seed})", macneille_completion(generate(spec))
 
 
 def equation_corpus(count: int) -> list[tuple[str, EquationInstance]]:
-    return [(f"equation(seed={seed})", random_equation(seed)) for seed in range(count)]
+    return list(_iter_equation_corpus(count))
+
+
+def _iter_equation_corpus(count: int) -> Iterator[tuple[str, EquationInstance]]:
+    return ((f"equation(seed={seed})", random_equation(seed)) for seed in range(count))
 
 
 # ------------------------------------------------- operator identities
@@ -260,15 +262,13 @@ def check_completion(name: str, completion: CompletedPoset) -> list[str]:
         fails.append(f"{name}: embedding check failed: {report.failures[:2]}")
     fails.extend(_bound_keeping_failures(name, poset))
 
-    k = completion.cut_count
-    for indices in _iter_index_families(k, 0, BOUND_SCAN_SAMPLE):
-        family = [completion.cuts[i] for i in indices]
-        fast_sup = sup_cuts(completion, family)
-        fast_inf = inf_cuts(completion, family)
-        if fast_sup != brute_bound(completion, family, "sup"):
+    masks = completion.cut_masks
+    for indices in _iter_index_families(len(masks), 0, BOUND_SCAN_SAMPLE):
+        family = [masks[i] for i in indices]
+        if _join(poset, family) != brute_bound(completion, family, "sup"):
             fails.append(f"{name}: sup disagrees with the bound scan on {indices}")
             break
-        if fast_inf != brute_bound(completion, family, "inf"):
+        if _meet(poset, family) != brute_bound(completion, family, "inf"):
             fails.append(f"{name}: inf disagrees with the bound scan on {indices}")
             break
     return fails
@@ -342,30 +342,35 @@ def check_equation(name: str, instance: EquationInstance) -> list[str]:
     if len(set(a)) != len(a) or not pulled_back:
         fails.append(f"{name}: induced class map is not an OIE")
     qc = instance.quotient_completion
+    index, images = qc._mask_index, instance.images
     for target in instance.codomain_completion.cuts:
-        report = solve(instance, target)
+        f = target.mask
+        solvable, solution, sup_images, inf_images, lower, upper = _criterion(instance, f)
         reference = brute_solve(instance, target)
-        if report.solvable != (reference is not None):
+        if solvable != (reference is not None):
             fails.append(
                 f"{name}: verdict mismatch on {target.label()}: "
-                f"criterion={report.solvable} search={reference is not None}"
+                f"criterion={solvable} search={reference is not None}"
             )
             continue
-        if report.solvable and report.solution.mask != reference.mask:
+        if solvable and solution != reference.mask:
             fails.append(f"{name}: solutions differ on {target.label()}")
-        if report.sup_of_images.mask & ~target.mask:
+        if sup_images & ~f:
             fails.append(f"{name}: sup of images escapes {target.label()}")
-        if target.mask & ~report.inf_of_images.mask:
+        if f & ~inf_images:
             fails.append(f"{name}: {target.label()} escapes inf of images")
-        sup_lower = sup_cuts(qc, report.lower_family)
-        inf_upper = inf_cuts(qc, report.upper_family)
-        img_sup = instance.images[qc.index_of(sup_lower)]
-        img_inf = instance.images[qc.index_of(inf_upper)]
-        if report.sup_of_images.mask & ~img_sup:
+        sup_lower = _join(qc.parent, [qc.cut_masks[i] for i in lower])
+        inf_upper = _meet(qc.parent, [qc.cut_masks[i] for i in upper])
+        if sup_lower not in index or inf_upper not in index:
+            fails.append(f"{name}: a family bound is not a quotient cut on {target.label()}")
+            continue
+        img_sup = images[index[sup_lower]]
+        img_inf = images[index[inf_upper]]
+        if sup_images & ~img_sup:
             fails.append(f"{name}: inclusion chain broke at the lower end")
         if img_sup & ~img_inf:
             fails.append(f"{name}: inclusion chain broke in the middle")
-        if img_inf & ~report.inf_of_images.mask:
+        if img_inf & ~inf_images:
             fails.append(f"{name}: inclusion chain broke at the upper end")
     return fails
 
@@ -472,64 +477,66 @@ class Suite(NamedTuple):
 
     takes: str | None  # what --input holds: "poset", "equation" or None
     batch: int | None  # the default --count; None when the corpus has no size
-    summary: Callable[[list[tuple[str, Any]]], str]  # of the (name, item)s checked
-    corpus: Callable[[int | None], list[tuple[str, Any]]]
+    summary: Callable[[list], str]  # from an (arity, cut count) per poset checked, or None
+    corpus: Callable[[int | None], Iterable[tuple[str, Any]]]
     check: Callable[[str, Any], list[str]]
 
 
-def _cutcalc_summary(items: list[tuple[str, CompletedPoset]]) -> str:
+def _cutcalc_summary(sizes: list[tuple[int, int]]) -> str:
     # a poset is sampled when its masks, mask pairs or cuts per least-cut test are
-    sizes = [(c.parent.arity, c.cut_count) for _, c in items]
     sampled = sum(1 << n > EXHAUSTIVE_MASKS or 3**n > EXHAUSTIVE_PAIRS or k > BOUND_SCAN_SAMPLE
                   for n, k in sizes)
     masks = sum(min(1 << n, EXHAUSTIVE_MASKS) for n, _ in sizes)
     note = f" ({sampled} sampled rather than scanned exhaustively; {masks} masks checked)"
-    return f"cutcalc on {len(items)} posets" + (note if sampled else "")
+    return f"cutcalc on {len(sizes)} posets" + (note if sampled else "")
 
 
-def _macneille_summary(items: list[tuple[str, CompletedPoset]]) -> str:
+def _macneille_summary(sizes: list[tuple[int, int]]) -> str:
     # k >= n, so a poset's element families are sampled only when its cut families are
-    sampled = sum(1 << c.cut_count > EXHAUSTIVE_MASKS for _, c in items)
-    families = sum(_family_count(c.cut_count, BOUND_SCAN_SAMPLE) for _, c in items)
+    sampled = sum(1 << k > EXHAUSTIVE_MASKS for _, k in sizes)
+    families = sum(_family_count(k, BOUND_SCAN_SAMPLE) for _, k in sizes)
     note = (f" ({sampled} sampled rather than scanned exhaustively;"
             f" {families} cut families checked)")
-    return f"macneille on {len(items)} posets" + (note if sampled else "")
+    return f"macneille on {len(sizes)} posets" + (note if sampled else "")
 
 
 # the lambdas look the checks up at call time, so a wrapper installed on
 # this module (as the benchmark's layer tracer does) sees every call
 SUITES = {
-    "cutcalc": Suite("poset", 50, _cutcalc_summary, corpus_posets,
+    "cutcalc": Suite("poset", 50, _cutcalc_summary, _iter_corpus_posets,
                      lambda name, completion: check_bound_calculus(name, completion)),
-    "macneille": Suite("poset", 50, _macneille_summary, corpus_posets,
+    "macneille": Suite("poset", 50, _macneille_summary, _iter_corpus_posets,
                        lambda name, completion: check_completion(name, completion)),
-    "closedforms": Suite(None, None, lambda items: "closed-form completion sizes",
+    "closedforms": Suite(None, None, lambda sizes: "closed-form completion sizes",
                          lambda count: [("closedforms", None)],
                          lambda name, item: check_closed_forms()),
     "theorem41": Suite("equation", 25,
-                       lambda items: f"solvability criterion on {len(items)} instances",
-                       equation_corpus,
+                       lambda sizes: f"solvability criterion on {len(sizes)} instances",
+                       _iter_equation_corpus,
                        lambda name, instance: check_equation(name, instance)),
     "theorem42": Suite("equation", 25,
-                       lambda items: f"global characterization on {len(items)} instances",
-                       equation_corpus,
+                       lambda sizes: f"global characterization on {len(sizes)} instances",
+                       _iter_equation_corpus,
                        lambda name, instance: check_global(name, instance)),
-    "boundchain": Suite(None, 100, lambda items: f"bound chain on {len(items)} increasing maps",
-                        lambda count: [(f"seed {seed}", seed) for seed in range(count)],
+    "boundchain": Suite(None, 100, lambda sizes: f"bound chain on {len(sizes)} increasing maps",
+                        lambda count: ((f"seed {seed}", seed) for seed in range(count)),
                         lambda name, seed: check_bound_chain_instance(seed)),
 }
 
 
 def run_suite(suite: Suite, item: Any, count: int | None) -> tuple[bool, list[str]]:
     """Run a suite on one --input item, or on its corpus when ``item`` is
-    None; returns (ok, printable output lines)."""
+    None, one item at a time; returns (ok, printable output lines), which
+    hold at most the first 10 failures."""
     if item is None:
         items = suite.corpus(suite.batch if count is None else count)
     else:
         items = [("input", item)]
-    failures = [line for name, x in items for line in suite.check(name, x)]
-    ok = not failures
-    lines = [("PASS " if ok else "FAIL ") + suite.summary(items)]
-    for f in failures[:10]:
-        lines.append("  counterexample: " + f)
-    return ok, lines
+    ok, sizes, failures = True, [], []
+    for name, x in items:
+        fails = suite.check(name, x)
+        ok = ok and not fails
+        failures += fails[:10 - len(failures)]
+        sizes.append((x.parent.arity, x.cut_count) if suite.takes == "poset" else None)
+    head = ("PASS " if ok else "FAIL ") + suite.summary(sizes)
+    return ok, [head] + ["  counterexample: " + f for f in failures]

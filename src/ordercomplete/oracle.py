@@ -3,11 +3,11 @@
 Everything here enumerates, rescans and recomputes from the raw
 definitions on purpose.  What it shares with the fast paths: the Poset
 value type, whose relation rows are read directly and whose derived
-operators are never called, and the return containers ``Subset`` and
-``Cut``.  Constructing a ``Cut`` validates it with the fast closure
-kernel, so a result the two sides disagree on raises instead of
-passing.  Used by the test suite and the `check` command, never by the
-production operations.
+operators are never called, and the ``Subset`` return container, whose
+constructor only tests that a mask lies in its carrier.  Bounds come
+and go as masks, so no result runs the fast closure kernel, and a fault
+there shows as a disagreement, not an error.  Used by the test suite
+and the `check` command, never by the production operations.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
-from .completion import CompletedPoset, Cut
+from .completion import CompletedPoset
 from .errors import MultipleSolutions, NoBound
 from .poset import Poset, Subset
 from .solver import EquationInstance
@@ -71,35 +71,22 @@ def brute_cuts(poset: Poset) -> list[Subset]:
     return [Subset(poset, m) for m in masks]
 
 
-def brute_bound(
-    completion: CompletedPoset, family: Iterable[Subset], which: str
-) -> Cut:
-    """Least upper / greatest lower bound by scanning the whole cut list."""
+def brute_bound(completion: CompletedPoset, masks: Iterable[int], which: str) -> int:
+    """Least upper / greatest lower bound of cut masks, by scanning the whole cut list."""
     if which not in ("sup", "inf"):
         raise ValueError(f"which must be 'sup' or 'inf', got {which!r}")
-    member_masks = []
-    for c in family:
-        completion.index_of(c)  # parent + membership check
-        member_masks.append(c.mask)
+    members = list(masks)
+    cuts = completion.cut_masks
     if which == "sup":
-        candidates = [
-            m
-            for m in completion.cut_masks
-            if all(mem & ~m == 0 for mem in member_masks)
-        ]
-        for c in candidates:
-            if all(c & ~other == 0 for other in candidates):
-                return Cut(completion.parent, c)
+        above = [m for m in cuts if all(mem & ~m == 0 for mem in members)]
+        bounds = (c for c in above if all(c & ~other == 0 for other in above))
     else:
-        candidates = [
-            m
-            for m in completion.cut_masks
-            if all(m & ~mem == 0 for mem in member_masks)
-        ]
-        for c in candidates:
-            if all(other & ~c == 0 for other in candidates):
-                return Cut(completion.parent, c)
-    raise NoBound(f"no {which} exists; the cut lattice is not complete (bug)")
+        below = [m for m in cuts if all(m & ~mem == 0 for mem in members)]
+        bounds = (c for c in below if all(other & ~c == 0 for other in below))
+    bound = next(bounds, None)
+    if bound is None:
+        raise NoBound(f"no {which} exists; the cut lattice is not complete (bug)")
+    return bound
 
 
 def brute_covers(masks: Sequence[int]) -> list[tuple[int, int]]:
@@ -147,7 +134,7 @@ def _brute_image_table(instance: EquationInstance) -> tuple[tuple[int, int], ...
     return table
 
 
-def brute_solve(instance: EquationInstance, target: Subset) -> Cut | None:
+def brute_solve(instance: EquationInstance, target: Subset) -> Subset | None:
     """Try every quotient cut; return the unique one mapping onto the target.
 
     Raises MultipleSolutions if two distinct cuts map onto it, which
@@ -164,4 +151,4 @@ def brute_solve(instance: EquationInstance, target: Subset) -> Cut | None:
         )
     if not matches:
         return None
-    return Cut(instance.quotient, matches[0])
+    return Subset(instance.quotient, matches[0])

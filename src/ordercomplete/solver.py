@@ -171,6 +171,35 @@ class SolveReport(_Record):
     assumption_flags: AssumptionFlags
 
 
+def _criterion(instance: EquationInstance, f_mask: int) -> tuple:
+    """T#(A) = F on masks, for the codomain cut mask F: the verdict, the solution
+    mask or None, the sup and inf of the images, and the lower and upper family
+    as quotient cut indices.  Raises OrderCompletionError on a broken invariant."""
+    qc = instance.quotient_completion
+    order = qc.parent
+    codomain = instance.codomain
+    qmasks = qc.cut_masks
+    images = instance.images
+    lower = [i for i, image in enumerate(images) if image & ~f_mask == 0]
+    upper = [i for i, image in enumerate(images) if f_mask & ~image == 0]
+    sup_images = _join(codomain, [images[i] for i in lower])
+    inf_images = _meet(codomain, [images[i] for i in upper])
+    solution = None
+    if sup_images == inf_images:
+        solution = _join(order, [qmasks[i] for i in lower])
+        if solution != _meet(order, [qmasks[i] for i in upper]):
+            raise OrderCompletionError(
+                "sup of the lower family differs from inf of the upper family; "
+                "this is a bug"
+            )
+        index = qc._mask_index.get(solution)
+        if index is None or images[index] != f_mask:
+            raise OrderCompletionError(
+                "constructed solution does not map onto the target; this is a bug"
+            )
+    return solution is not None, solution, sup_images, inf_images, lower, upper
+
+
 def solve(instance: EquationInstance, target: Subset) -> SolveReport:
     """Decide T#(A) = F and construct the solution when one exists.
 
@@ -179,44 +208,20 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
     """
     if not is_cut(instance.codomain, target):
         raise InvalidCut("the right hand side must be a cut of the codomain")
-    f_mask = target.mask
-
-    qc = instance.quotient_completion
-    order = qc.parent
+    solvable, solution, sup_mask, inf_mask, lower, upper = _criterion(instance, target.mask)
+    order = instance.quotient
     codomain = instance.codomain
-    qmasks = qc.cut_masks
-    images = instance.images
-    lower = [i for i, image in enumerate(images) if image & ~f_mask == 0]
-    upper = [i for i, image in enumerate(images) if f_mask & ~image == 0]
-    sup_mask = _join(codomain, [images[i] for i in lower])
-    meet = _meet(codomain, [images[i] for i in upper])
-    solvable = sup_mask == meet
-
-    solution: Cut | None = None
-    if solvable:
-        from_lower = _join(order, [qmasks[i] for i in lower])
-        from_upper = _meet(order, [qmasks[i] for i in upper])
-        if from_lower != from_upper:
-            raise OrderCompletionError(
-                "sup of the lower family differs from inf of the upper family; "
-                "this is a bug"
-            )
-        solution = _trusted(Cut, parent=order, mask=from_lower)
-        if instance.images[qc.index_of(solution)] != f_mask:
-            raise OrderCompletionError(
-                "constructed solution does not map onto the target; this is a bug"
-            )
-
+    qmasks = instance.quotient_completion.cut_masks
     return SolveReport(
-        target=_trusted(Cut, parent=codomain, mask=f_mask),
-        solvable=solvable,
-        solution=solution,
-        sup_of_images=_trusted(Cut, parent=codomain, mask=sup_mask),
-        inf_of_images=_trusted(Cut, parent=codomain, mask=meet),
-        lower_family=tuple(_trusted(Cut, parent=order, mask=qmasks[i]) for i in lower),
-        upper_family=tuple(_trusted(Cut, parent=order, mask=qmasks[i]) for i in upper),
-        empty_family_flags=EmptyFamilyFlags(lower=not lower, upper=not upper),
-        assumption_flags=instance.assumption_flags,
+        _trusted(Cut, parent=codomain, mask=target.mask),
+        solvable,
+        _trusted(Cut, parent=order, mask=solution) if solvable else None,
+        _trusted(Cut, parent=codomain, mask=sup_mask),
+        _trusted(Cut, parent=codomain, mask=inf_mask),
+        tuple(_trusted(Cut, parent=order, mask=qmasks[i]) for i in lower),
+        tuple(_trusted(Cut, parent=order, mask=qmasks[i]) for i in upper),
+        EmptyFamilyFlags(not lower, not upper),
+        instance.assumption_flags,
     )
 
 

@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from ordercomplete import checks
+from ordercomplete import checks, cli
 from ordercomplete.completion import _trusted, macneille_completion
 from ordercomplete.generators import GeneratorSpec, generate, random_equation
 from ordercomplete.jsonio import poset_from_data
@@ -70,22 +70,27 @@ def test_bound_scan_work_is_bounded_by_its_sample(monkeypatch):
     assert len(calls) <= 2 * (2 + 2 * checks.BOUND_SCAN_SAMPLE)
 
 
-@pytest.mark.parametrize("which", ["sup", "inf"])
-def test_bound_scan_catches_a_wrong_bound(which, monkeypatch):
-    """The oracle scan in check macneille is the one check of family sups
-    and infs: a fast bound wrong on a single family must fail it."""
+@pytest.mark.parametrize("which, kernel", [("sup", "_join"), ("inf", "_meet")])
+def test_bound_scan_catches_a_wrong_bound(which, kernel, monkeypatch):
+    """The oracle scan in check macneille checks the sup and inf of cut
+    families: a lattice operation wrong on a single family must fail it.
+    In a lattice every cut is principal, so the embedding check, which
+    reads the same operation on the element family {4, 6}, names it too."""
     completion = macneille_completion(generate(GeneratorSpec("divisor", m=12)))
-    four, six = (completion.cuts[completion.embedding[completion.parent.index(x)]] for x in "46")
-    indices = (completion.index_of(four), completion.index_of(six))
-    real = getattr(checks, f"{which}_cuts")
+    indices = tuple(completion.embedding[completion.parent.index(x)] for x in "46")
+    four, six = (completion.cut_masks[i] for i in indices)
+    real = getattr(checks, kernel)
 
-    def faulty(completion, family):
+    def faulty(poset, masks):
         # the sup of <4] and <6] is <12], their inf <2]
-        return four if family == [four, six] else real(completion, family)
+        masks = list(masks)
+        return four if masks == [four, six] else real(poset, masks)
 
-    monkeypatch.setattr(checks, f"{which}_cuts", faulty)
+    monkeypatch.setattr(checks, kernel, faulty)
+    bound = {"sup": "supremum", "inf": "infimum"}[which]
     assert checks.check_completion("divisor(12)", completion) == [
-        f"divisor(12): {which} disagrees with the bound scan on {indices}"
+        f"divisor(12): embedding loses the {bound} of {{4,6}}",
+        f"divisor(12): {which} disagrees with the bound scan on {indices}",
     ]
 
 
@@ -157,6 +162,66 @@ def test_bound_calculus_names_a_wrong_table_entry_in_every_chunk(table, chunk, e
     vars(poset)[table] = tuple(map(tuple, tables))
     line = f"S_10: operators disagree with the double loop on {entry << 8 * chunk:#x}"
     assert line in checks.check_bound_calculus("S_10", completion)
+
+
+def test_macneille_names_a_table_fault_instead_of_raising():
+    """A wrong bound table entry (bit 0 of entry 5 of S_10's third
+    ``_down_tables`` chunk) ends in failure lines: the oracle returns masks
+    and builds no ``Cut`` that the faulty kernel could reject."""
+    completion = macneille_completion(poset_from_data(_standard(10)))
+    poset = completion.parent
+    tables = [list(chunk_table) for chunk_table in poset._down_tables]
+    tables[2][5] ^= 1
+    vars(poset)["_down_tables"] = tuple(map(tuple, tables))
+    assert checks.check_completion("S_10", completion) == [
+        "S_10: completion rejected: {a0,a7,a9} listed in a completion but is not a cut",
+        "S_10: sup disagrees with the bound scan on (202,)",
+    ]
+
+
+# equation(seed=0) solves {y0,y1} by the quotient cut 0b11, and 0b10 is the
+# quotient cut sent to {y0}
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        (lambda out: (False, None, *out[2:]),
+         "verdict mismatch on {y0,y1}: criterion=False search=True"),
+        (lambda out: (True, 0b10, *out[2:]), "solutions differ on {y0,y1}"),
+    ],
+    ids=["verdict", "solution"],
+)
+def test_equation_check_names_a_faulty_solver_kernel(fault, line, monkeypatch, capsys):
+    """check theorem41 names a wrong verdict and a wrong solution of the
+    solver's criterion kernel, and exits 1."""
+    real = checks._criterion
+
+    def faulty(instance, f_mask):
+        out = real(instance, f_mask)
+        return fault(out) if f_mask == 0b11 else out
+
+    monkeypatch.setattr(checks, "_criterion", faulty)
+    assert cli.main(["check", "theorem41", "--count", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL solvability criterion on 1 instances\n"
+        f"  counterexample: equation(seed=0): {line}\n"
+    )
+
+
+def test_equation_check_names_a_family_bound_off_the_cut_list(monkeypatch):
+    """A sup of the lower family that is no quotient cut is a failure line,
+    not a KeyError."""
+    instance = random_equation(0)
+    real = checks._join
+
+    def faulty(poset, masks):
+        return 1 << 10 if poset is instance.quotient else real(poset, masks)
+
+    monkeypatch.setattr(checks, "_join", faulty)
+    fails = checks.check_equation("equation(seed=0)", instance)
+    assert fails == [
+        f"equation(seed=0): a family bound is not a quotient cut on {cut.label()}"
+        for cut in instance.codomain_completion.cuts
+    ]
 
 
 def test_closed_forms_runs_the_lattice_test_on_every_lattice(monkeypatch):

@@ -296,8 +296,9 @@ class TestBoundsInCompletion:
             for i in range(completion.cut_count)
             if (selector >> i) & 1
         ]
-        assert sup_cuts(completion, family) == brute_bound(completion, family, "sup")
-        assert inf_cuts(completion, family) == brute_bound(completion, family, "inf")
+        masks = [cut.mask for cut in family]
+        assert sup_cuts(completion, family).mask == brute_bound(completion, masks, "sup")
+        assert inf_cuts(completion, family).mask == brute_bound(completion, masks, "inf")
 
     @given(posets(), st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
     def test_sup_monotone_in_family(self, poset, first, second):

@@ -24,6 +24,7 @@ from ordercomplete.oracle import (
     brute_solve,
 )
 from ordercomplete.poset import _upper_mask, build_poset
+from ordercomplete.solver import EquationInstance
 
 from conftest import posets
 from test_golden import _standard
@@ -97,21 +98,47 @@ class TestBruteCuts:
 
     def test_shares_no_kernel_with_the_fast_path(self):
         """Wrong bound tables, as a fault in the fast kernel would leave
-        them, do not move the oracle's cuts."""
+        them, do not move the oracle's cuts, bounds or solutions."""
+
+        def break_kernel(poset):
+            for table in ("_up_tables", "_down_tables"):
+                vars(poset)[table] = tuple((0,) * len(chunk) for chunk in getattr(poset, table))
+            assert _upper_mask(poset, 0) != poset.full_mask
+
         poset = generate(GeneratorSpec("random", n=18, density=0.3, seed=7))
-        reference = [s.mask for s in brute_cuts(poset)]
-        for table in ("_up_tables", "_down_tables"):
-            vars(poset)[table] = tuple((0,) * len(chunk) for chunk in getattr(poset, table))
-        assert _upper_mask(poset, 0) != poset.full_mask  # the fast kernel is broken
-        assert [s.mask for s in brute_cuts(poset)] == reference
+        completion = macneille_completion(poset)
+        masks = completion.cut_masks
+        families = [[], [masks[3], masks[7]], masks[5:40], masks]
+
+        def answers():
+            bounds = [brute_bound(completion, f, w) for f in families for w in ("sup", "inf")]
+            return [s.mask for s in brute_cuts(poset)], bounds
+
+        reference = answers()
+        break_kernel(poset)
+        assert answers() == reference
+
+        def solutions(instance):
+            found = (brute_solve(instance, t) for t in instance.codomain_completion.cuts)
+            return [None if s is None else s.mask for s in found]
+
+        instance = random_equation(35)  # 4 classes, 5 of 8 targets solvable
+        reference = solutions(instance)
+        # the same map under another cap is another instance, so it builds
+        # its own image table on the broken kernel
+        broken = EquationInstance(instance.t, instance.max_cuts - 1)
+        broken.codomain_completion  # the targets, listed before the fault
+        break_kernel(broken.quotient)
+        break_kernel(broken.codomain)
+        assert solutions(broken) == reference
 
 
 class TestBruteBound:
     def test_singleton_family_returns_member(self):
         completion = macneille_completion(chain3())
-        for cut in completion.cuts:
-            assert brute_bound(completion, [cut], "sup") == cut
-            assert brute_bound(completion, [cut], "inf") == cut
+        for mask in completion.cut_masks:
+            assert brute_bound(completion, [mask], "sup") == mask
+            assert brute_bound(completion, [mask], "inf") == mask
 
     def test_agrees_with_fast_bounds_on_seeded_posets(self):
         import random
@@ -129,11 +156,12 @@ class TestBruteBound:
                     for i in range(k)
                     if rng.random() < 0.5
                 ]
-                assert sup_cuts(completion, family) == brute_bound(
-                    completion, family, "sup"
+                masks = [cut.mask for cut in family]
+                assert sup_cuts(completion, family).mask == brute_bound(
+                    completion, masks, "sup"
                 )
-                assert inf_cuts(completion, family) == brute_bound(
-                    completion, family, "inf"
+                assert inf_cuts(completion, family).mask == brute_bound(
+                    completion, masks, "inf"
                 )
 
     def test_bad_direction_rejected(self):
@@ -153,7 +181,7 @@ class TestBruteBound:
             cut_masks=(full.cut_masks[1], full.cut_masks[2]),
         )
         with pytest.raises(NoBound):
-            brute_bound(partial, list(partial.cuts), "sup")
+            brute_bound(partial, partial.cut_masks, "sup")
 
 
 class TestBruteSolve:

@@ -315,6 +315,5 @@ class TestLatticeOperations:
     @given(posets(), st.data())
     def test_meet_is_the_inf_of_the_cuts(self, poset, data):
         completion = macneille_completion(poset)
-        family = data.draw(st.lists(st.sampled_from(completion.cuts), max_size=4))
-        inf = brute_bound(completion, family, "inf")
-        assert _meet(poset, [cut.mask for cut in family]) == inf.mask
+        family = data.draw(st.lists(st.sampled_from(completion.cut_masks), max_size=4))
+        assert _meet(poset, family) == brute_bound(completion, family, "inf")

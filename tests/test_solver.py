@@ -2,8 +2,15 @@ from operator import attrgetter
 
 import pytest
 
+from ordercomplete import solver
 from ordercomplete.completion import _trusted, macneille_completion
-from ordercomplete.errors import InvalidCut, ParentMismatch, ResourceCap, UnknownElement
+from ordercomplete.errors import (
+    InvalidCut,
+    OrderCompletionError,
+    ParentMismatch,
+    ResourceCap,
+    UnknownElement,
+)
 from ordercomplete.generators import STENCILS, GeneratorSpec, generate, random_equation
 from ordercomplete.mapext import PosetMap, is_oie
 from ordercomplete.oracle import brute_closure, brute_cuts, brute_solve
@@ -233,6 +240,21 @@ class TestSolve:
                 report = solve(instance, target)
                 assert report.sup_of_images.mask & ~target.mask == 0
                 assert target.mask & ~report.inf_of_images.mask == 0
+
+    def test_a_solution_off_the_cut_list_is_a_bug(self, monkeypatch):
+        """Family bounds that agree on a mask off the quotient's cut list
+        raise the solver's own error, not a KeyError or InvalidCut."""
+        instance = identity_instance(chain(["a", "b"]))
+        order = instance.quotient
+        outside = order.full_mask + 1
+        for name in ("_join", "_meet"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(
+                solver, name,
+                lambda poset, masks, real=real: outside if poset is order else real(poset, masks),
+            )
+        with pytest.raises(OrderCompletionError, match="does not map onto the target"):
+            solve(instance, instance.codomain.subset(["a"]))
 
     def test_families_listed_in_canonical_order(self):
         instance = one_point_into_antichain()
