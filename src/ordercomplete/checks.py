@@ -41,7 +41,8 @@ from .completion import (
 from .errors import InvalidCut, NotIncreasing
 from .generators import GeneratorSpec, _random_pairs, generate, random_equation
 from .mapext import PosetMap, check_bound_chain, extension_cut_map, is_increasing, is_oie
-from .oracle import brute_bound, brute_cuts, brute_lower, brute_solve, brute_upper
+from .oracle import _brute_image_table, brute_bound, brute_cuts, brute_lower, brute_solve
+from .oracle import brute_upper
 from .poset import Poset, _join, _mask_members, _meet, _submasks, build_poset
 from .poset import maximum_index, minimum_index
 from .solver import EquationInstance, _criterion, global_character
@@ -330,7 +331,7 @@ def _check_self_complete(name: str, poset: Poset) -> list[str]:
 
 
 def check_equation(name: str, instance: EquationInstance) -> list[str]:
-    """Solver verdicts against exhaustive search, for every possible target."""
+    """The images and the solver verdicts on every target against exhaustive search."""
     fails: list[str] = []
     # by definition: is_oie would compare the trusted quotient with itself
     a = instance.t_approx.assignment
@@ -343,6 +344,10 @@ def check_equation(name: str, instance: EquationInstance) -> list[str]:
         fails.append(f"{name}: induced class map is not an OIE")
     qc = instance.quotient_completion
     index, images = qc._mask_index, instance.images
+    # the criterion reads the images, so a wrong one ends the check here
+    for mask, image, reference in zip(qc.cut_masks, images, _brute_image_table(instance)):
+        if (mask, image) != reference:
+            return fails + [f"{name}: image of {cut_label(qc.parent, mask)} is not the oracle's"]
     for target in instance.codomain_completion.cuts:
         f = target.mask
         solvable, solution, sup_images, inf_images, lower, upper = _criterion(instance, f)
@@ -422,13 +427,15 @@ def bound_chain_fixture(seed: int) -> tuple[CompletedPoset, PosetMap, tuple[int,
 
 def check_bound_chain_instance(seed: int) -> list[str]:
     """The bound chain and the laws of the extension on one seeded map; a
-    decrease of the extension is a failure line, not an error."""
+    decrease of the extension or an image rejected as a cut is a failure line."""
     source, phi, mu, family = bound_chain_fixture(seed)
     name = f"boundchain(seed={seed})"
     try:
         report = check_bound_chain(source, phi.target, mu, family)
     except NotIncreasing as exc:
         return [f"{name}: extension not monotone: {exc}"]
+    except InvalidCut as exc:
+        return [f"{name}: an image was rejected as a cut: {exc}"]
     fails = []
     if not report.chain_holds:
         fails.append(

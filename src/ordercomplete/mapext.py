@@ -9,11 +9,13 @@ inclusion; when f is increasing it commutes with the element embeddings
 on principal cuts, and when f is an order isomorphic embedding (OIE)
 its restriction to the cuts of X is again an OIE.  `check boundchain`
 (``checks.check_bound_chain_instance``) checks these three laws on
-seeded maps.
+seeded maps.  An image costs one lookup per 8 source elements plus one closure.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import and_
 from typing import Mapping, Sequence
 
 from .completion import (
@@ -32,7 +34,7 @@ from .errors import (
     SourceNotOrdered,
     UnknownElement,
 )
-from .poset import Parent, Poset, Subset, _Record, _join, _mask_members, _meet
+from .poset import Parent, Poset, Subset, _Record, _join, _lower_mask, _meet, _row_tables
 
 
 class PosetMap(_Record):
@@ -66,12 +68,21 @@ class PosetMap(_Record):
             assignment.append(target.index(mapping[name]))
         return cls(source, target, tuple(assignment))
 
+    @cached_property
+    def _image_up_tables(self) -> tuple[tuple[int, ...], ...]:
+        up = self.target.up_masks
+        return _row_tables([up[j] for j in self.assignment], self.target.full_mask, and_)
+
 
 def extension_mask(phi: PosetMap, mask: int) -> int:
     """Target cut mask the extension sends a source subset mask to: (f(A))^ul."""
     if mask & ~phi.source.full_mask:
         raise UnknownElement("subset mask references elements outside the map's source")
-    return _join(phi.target, [1 << phi.assignment[i] for i in _mask_members(mask)])
+    upper = phi.target.full_mask
+    for table in phi._image_up_tables:
+        upper &= table[mask & 255]
+        mask >>= 8
+    return _lower_mask(phi.target, upper)
 
 
 def _pulled_back_order(target: Poset, assignment: Sequence[int]) -> tuple[int, ...]:
@@ -154,17 +165,10 @@ def check_bound_chain(
     if not family:
         raise EmptyFamily("the bound chain needs a nonvoid family")
 
-    inf_e = inf_cuts(source, family)
-    sup_e = sup_cuts(source, family)
     images = [mu_masks[source.index_of(member)] for member in family]
-    inf_img = _trusted(Cut, parent=target_poset, mask=_meet(target_poset, images))
-    sup_img = _trusted(Cut, parent=target_poset, mask=_join(target_poset, images))
-    mu_inf = cuts[source.index_of(inf_e)]
-    mu_sup = cuts[source.index_of(sup_e)]
-
     return BoundChainReport(
-        mu_of_inf=mu_inf,
-        inf_of_images=inf_img,
-        sup_of_images=sup_img,
-        mu_of_sup=mu_sup,
+        mu_of_inf=cuts[source.index_of(inf_cuts(source, family))],
+        inf_of_images=_trusted(Cut, parent=target_poset, mask=_meet(target_poset, images)),
+        sup_of_images=_trusted(Cut, parent=target_poset, mask=_join(target_poset, images)),
+        mu_of_sup=cuts[source.index_of(sup_cuts(source, family))],
     )

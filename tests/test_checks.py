@@ -14,9 +14,11 @@ import hashlib
 import pytest
 
 from ordercomplete import checks, cli
-from ordercomplete.completion import _trusted, macneille_completion
+from ordercomplete.completion import _closure_mask, _trusted, macneille_completion
 from ordercomplete.generators import GeneratorSpec, generate, random_equation
 from ordercomplete.jsonio import poset_from_data
+from ordercomplete.mapext import PosetMap
+from ordercomplete.poset import CarrierSet
 from ordercomplete.solver import EquationInstance
 
 from test_golden import _standard, check_inputs
@@ -253,3 +255,47 @@ def test_equation_check_catches_a_class_map_that_is_not_an_oie():
     )
     assert split.t_approx.assignment == (1, 2, 1, 0)
     assert "split: induced class map is not an OIE" in checks.check_equation("split", split)
+
+
+def test_equation_check_names_a_wrong_image():
+    """check theorem41 compares every image with the oracle's and names the
+    first quotient cut whose image differs."""
+    instance = random_equation(0)
+    assert instance.quotient_completion.cut_labels()[2] == "{x0,x1,x2}"
+    images = list(instance.images)
+    images[2] ^= 1
+    vars(instance)["images"] = tuple(images)
+    assert checks.check_equation("equation(seed=0)", instance) == [
+        "equation(seed=0): image of {x0,x1,x2} is not the oracle's"
+    ]
+
+
+def test_equation_check_names_a_wrong_image_table_entry():
+    """A flipped bit in the class map's image tables (bit 0 of entry 5 of
+    chunk 0, on the S_10 identity) is a failure line, not an internal error."""
+    poset = poset_from_data(_standard(10))
+    instance = EquationInstance(PosetMap(CarrierSet(poset.labels), poset, tuple(range(20))))
+    phi = instance.t_approx
+    tables = [list(chunk_table) for chunk_table in phi._image_up_tables]
+    tables[0][5] ^= 1
+    vars(phi)["_image_up_tables"] = tuple(map(tuple, tables))
+    assert checks.check_equation("S_10", instance) == [
+        "S_10: image of {a0,a2} is not the oracle's"
+    ]
+
+
+def test_bound_chain_check_names_a_closure_fault_instead_of_raising(monkeypatch, capsys):
+    """An image that a faulty closure kernel rejects as a cut is a failure
+    line and exit 1, not ``InvalidCut`` and exit 2."""
+    def faulty(poset, mask):
+        out = _closure_mask(poset, mask)
+        return out ^ 1 if mask == 0b11 else out
+
+    monkeypatch.setattr("ordercomplete.completion._closure_mask", faulty)
+    assert cli.main(["check", "boundchain", "--count", "20"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL bound chain on 20 increasing maps"
+    assert out[1] == (
+        "  counterexample: boundchain(seed=0): an image was rejected as a cut: "
+        "{t0,t1} is not closed under the upper-lower bound operators"
+    )

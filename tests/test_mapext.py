@@ -24,7 +24,9 @@ from ordercomplete.mapext import (
     is_increasing,
     is_oie,
 )
-from ordercomplete.poset import CarrierSet, Poset, _submasks, build_poset
+from ordercomplete.generators import GeneratorSpec, generate
+from ordercomplete.oracle import brute_closure, brute_upper
+from ordercomplete.poset import CarrierSet, Poset, _mask_members, _submasks, build_poset
 
 from conftest import leq, posets, principal
 
@@ -104,6 +106,49 @@ class TestApplyExtension:
         small = a & b & poset.full_mask
         big = b & poset.full_mask
         assert extension_mask(phi, small) & ~extension_mask(phi, big) == 0
+
+
+def _seeded_map(n: int, ordered: bool, seed: int) -> PosetMap:
+    """A seeded map from n source elements into a random poset of 12 to 20."""
+    rng = random.Random(seed)
+    source = generate(GeneratorSpec("random", n=n, density=0.2, seed=seed))
+    target = generate(GeneratorSpec("random", n=rng.randint(12, 20), density=0.25, seed=seed + 1))
+    if not ordered:
+        source = CarrierSet(source.labels)
+    return PosetMap(source, target, tuple(rng.randrange(target.arity) for _ in range(n)))
+
+
+class TestImageTableCertificate:
+    """``extension_mask`` against the oracle on sources past one chunk of 8.
+
+    A mask inside one chunk reads one entry of that chunk's table and the
+    all-ones entry 0 of every other, so the masks b << 8c certify every
+    entry of every table; the full mask and masks that span chunks test
+    the lookup loop that ANDs them."""
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["poset", "carrier"])
+    @pytest.mark.parametrize("n", [9, 16, 17, 20])
+    def test_every_table_entry_and_spanning_masks(self, n, ordered):
+        phi = _seeded_map(n, ordered, seed=n)
+        target = phi.target
+
+        def image(mask):
+            out = 0
+            for i in _mask_members(mask):
+                out |= 1 << phi.assignment[i]
+            return out
+
+        assert [len(table) for table in phi._image_up_tables] == [
+            1 << min(8, n - c) for c in range(0, n, 8)
+        ]
+        for c, table in enumerate(phi._image_up_tables):
+            for b, entry in enumerate(table):
+                assert entry == brute_upper(target, image(b << 8 * c))
+        rng = random.Random(n)
+        chunk_masks = [b << c for c in range(0, n, 8) for b in range(1 << min(8, n - c))]
+        spanning = [rng.randint(0, phi.source.full_mask) for _ in range(200)]
+        for mask in chunk_masks + [phi.source.full_mask] + spanning:
+            assert extension_mask(phi, mask) == brute_closure(target, image(mask))
 
 
 class TestClassification:
