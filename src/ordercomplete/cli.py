@@ -40,14 +40,15 @@ def _read_json(path: str):
 
 
 def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a full or closed stdout fails here, not at exit
+            return
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise InvalidInput(f"{path}: {exc.strerror}") from None
+        raise InvalidInput(f"{path or 'stdout'}: {exc.strerror}") from None
 
 
 def _load_poset(args) -> CompletedPoset:
@@ -122,8 +123,7 @@ def _cmd_check(args) -> int:
             raise InvalidInput(f"suite {args.suite!r} does not take --input")
         item = _load_poset(args) if suite.takes == "poset" else _load_equation(args)
     ok, lines = checks.run_suite(suite, item, args.count)
-    for line in lines:
-        print(line)
+    _write("\n".join(lines) + "\n", None)
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -228,6 +228,8 @@ _shared_parser = cache(build_parser)
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # the report bytes are UTF-8 whatever the locale
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         return args.func(args)
     except ResourceCap as exc:

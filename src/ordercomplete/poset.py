@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from operator import add, and_, attrgetter, or_
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     CycleDetected,
@@ -70,16 +70,6 @@ def _mask_members(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of ``mask``, from ``mask`` itself down to 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 class _Record:

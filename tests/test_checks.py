@@ -166,6 +166,40 @@ def test_bound_calculus_names_a_wrong_table_entry_in_every_chunk(table, chunk, e
     assert line in checks.check_bound_calculus("S_10", completion)
 
 
+def test_bound_calculus_checks_antitonicity_on_every_step_of_a_full_scan(monkeypatch):
+    """Below the mask cap cutcalc tests antitonicity on every one-element
+    step (m, m + {x}), so a fault on one mask of divisor(60) (12 elements)
+    is named even where a seeded sample of nested pairs never reaches it."""
+    completion = macneille_completion(generate(GeneratorSpec("divisor", m=60)))
+    assert completion.parent.arity == 12
+    real = checks._upper_mask
+
+    def faulty(poset, mask):
+        out = real(poset, mask)
+        return out | 1 if mask == 0x11A else out
+
+    monkeypatch.setattr(checks, "_upper_mask", faulty)
+    fails = checks.check_bound_calculus("divisor(60)", completion)
+    assert "divisor(60): bounds are not antitone on 0x1a <= 0x11a" in fails
+
+
+@pytest.mark.parametrize("kernel", ["_upper_mask", "_lower_mask"])
+@pytest.mark.parametrize("x", [3, 11, 19])
+def test_bound_calculus_names_a_wrong_singleton_bound(kernel, x, monkeypatch):
+    """The bounds of a singleton are its principal sets; the comparison with
+    the double loop covers every singleton, in each of the three chunks of S_10."""
+    completion = macneille_completion(poset_from_data(_standard(10)))
+    real = getattr(checks, kernel)
+
+    def faulty(poset, mask):
+        out = real(poset, mask)
+        return out ^ 1 if mask == 1 << x else out
+
+    monkeypatch.setattr(checks, kernel, faulty)
+    line = f"S_10: operators disagree with the double loop on {1 << x:#x}"
+    assert line in checks.check_bound_calculus("S_10", completion)
+
+
 def test_macneille_names_a_table_fault_instead_of_raising():
     """A wrong bound table entry (bit 0 of entry 5 of S_10's third
     ``_down_tables`` chunk) ends in failure lines: the oracle returns masks
@@ -242,6 +276,26 @@ def test_closed_forms_runs_the_lattice_test_on_every_lattice(monkeypatch):
         + [f"divisor({m})" for m in range(1, 61)]
     )
     assert set(lattices) <= set(seen)
+
+
+def test_closed_forms_names_a_missing_principal_cut(monkeypatch, capsys):
+    """A lattice's completion that lists a non-principal mask in place of a
+    principal cut is a failure line and exit 1, not a ``KeyError``."""
+    real = checks.macneille_completion
+
+    def faulty(poset):
+        completion = real(poset)
+        if poset.labels != ("c0", "c1", "c2", "c3"):
+            return completion
+        masks = tuple(0b1010 if m == 0b111 else m for m in completion.cut_masks)
+        return _trusted(type(completion), parent=poset, cut_masks=masks)
+
+    monkeypatch.setattr(checks, "macneille_completion", faulty)
+    assert cli.main(["check", "closedforms"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL closed-form completion sizes",
+        "  counterexample: chain(4): embedding is not onto the cuts",
+    ]
 
 
 def test_equation_check_catches_a_class_map_that_is_not_an_oie():

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -563,3 +564,44 @@ class TestExport:
         first = run("export", "--input", str(chain_file)).stdout
         second = run("export", "--input", str(chain_file)).stdout
         assert first == second
+
+
+class TestStdout:
+    """The report bytes on stdout are UTF-8 whatever the locale, and a
+    failed stdout write is one error line and exit 2, as a failed --output is."""
+
+    @pytest.mark.parametrize("command", ["complete", "export"])
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_stdout_bytes_equal_the_output_file(self, tmp_path, command, encoding):
+        path = tmp_path / "accented.json"
+        data = jsonio.raw_poset_to_data(["é", "ü"], [("é", "ü")], "covers")
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(command, "--input", str(path), "--output", str(out)).returncode == 0
+        env = {**os.environ, "PYTHONIOENCODING": encoding}
+        result = subprocess.run([*CMD, command, "--input", str(path)], capture_output=True, env=env)
+        assert result.returncode == 0 and result.stderr == b""
+        assert result.stdout == out.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [
+        ("complete", "--input", "{poset}"),
+        ("solve", "--input", "{equation}", "--target", "{target}"),
+        ("export", "--input", "{poset}"),
+        ("check", "cutcalc", "--input", "{poset}"),
+        ("check", "closedforms"),
+        ("gen", "--family", "chain", "--n", "3"),
+    ])
+    def test_full_stdout_exits_2_with_one_error_line(
+        self, chain_file, constant_equation_file, tmp_path, args
+    ):
+        paths = {
+            "poset": chain_file,
+            "equation": constant_equation_file,
+            "target": write_target(tmp_path, {"principal": "p"}),
+        }
+        argv = [arg.format(**paths) for arg in args]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([*CMD, *argv], stdout=full, stderr=subprocess.PIPE, text=True)
+        assert result.returncode == 2
+        assert result.stderr == "error: stdout: No space left on device\n"

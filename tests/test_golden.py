@@ -37,7 +37,7 @@ GOLDEN = {
     "export": "67f935047c642085643d4eec7a4084da72a80d9780ed90a3c0c334eef342ebea",
     "solve": "f1422c7c26083e24f427cbcc578bb940de33045b8ffbccd188778e086edf11e1",
     "gen": "81f00334a267080cb86be79baa99cd0ac2a987eaf0dc539f916a04f91d7f762d",
-    "check": "90fc35533d311c78ea340bde2b43aa44f84d1953fd2e54e9da4a772ac811ccd3",
+    "check": "62cedd864c6007b98b1e8092dc41fc7c430e84db01c3c5787284f4df80fb5322",
 }
 
 GEN_ARGS = [

@@ -103,7 +103,7 @@ def test_oracle_shares_no_kernel_with_the_fast_path():
 
 CAPS_AND_BUDGETS = {
     "DEFAULT_MAX_ARITY", "DEFAULT_MAX_CUTS", "DIVISOR_MAX_M",
-    "EXHAUSTIVE_MASKS", "EXHAUSTIVE_PAIRS", "FAMILY_SAMPLE", "BOUND_SCAN_SAMPLE",
+    "EXHAUSTIVE_MASKS", "FAMILY_SAMPLE", "BOUND_SCAN_SAMPLE",
 }
 
 
