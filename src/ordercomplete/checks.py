@@ -13,8 +13,9 @@ fixed corpus always produces the same verdict.  The family sup and inf,
 checked against the oracle's bound scan in ``check_completion``, see at
 most 2 + 2 * BOUND_SCAN_SAMPLE families, and the least-cut test at most
 BOUND_SCAN_SAMPLE cuts per mask.  So the work peaks at the threshold:
-at k = 12 cuts the oracle's k-cut scan runs on all 2^k families, and
-above it the work of ``check_completion`` grows about linearly in k.
+at k = 12 cuts the oracle's one pass over the k cuts runs on all 2^k
+families, and above it the work of ``check_completion`` grows about
+linearly in k.
 
 Note on the full-carrier equivalence: on a carrier with a minimum, the
 set of upper bounds of {minimum} is everything, so the textbook
@@ -27,8 +28,9 @@ no minimum (no maximum), which the reports surface separately.
 from __future__ import annotations
 
 import random
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import product
+from operator import and_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .completion import (
@@ -61,9 +63,11 @@ def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[
     them), then ``sample_budget`` seeded random families: at most
     2 + 2 * sample_budget families, whatever the count.
     """
-    if 1 << count <= EXHAUSTIVE_MASKS:
-        for mask in range(1 << count):
-            yield _mask_members(mask)
+    if 1 << count <= EXHAUSTIVE_MASKS:  # family m lists the set bits of m, ascending
+        families = [()]
+        for i in range(count):  # the families holding i: those below it, each with i added
+            families += [family + (i,) for family in families]
+        yield from families
         return
     yield ()
     yield tuple(range(count))
@@ -163,15 +167,12 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
             break
 
     # empty bounds exactly mean unbounded
-    down = poset.down_masks
-    up = poset.up_masks
+    down, up = poset.down_masks, poset.up_masks
     for m in masks:
-        bounded_above = any(m & ~down[x] == 0 for x in range(n))
-        if (upper(m) == 0) == bounded_above:
+        if (upper(m) == 0) == any(m & ~d == 0 for d in down):
             fails.append(f"{name}: boundedness above mismatched on {m:#x}")
             break
-        bounded_below = any(m & ~up[x] == 0 for x in range(n))
-        if (lower(m) == 0) == bounded_below:
+        if (lower(m) == 0) == any(m & ~u == 0 for u in up):
             fails.append(f"{name}: boundedness below mismatched on {m:#x}")
             break
 
@@ -179,8 +180,9 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     # so when every mask is scanned, every step (m, m + {x}) covers every pair
     exhaustive = 1 << n <= EXHAUSTIVE_MASKS
     if exhaustive:
+        steps = [1 << x for x in range(n)]
         pairs: Iterable[tuple[int, int]] = (
-            (m, m | 1 << x) for m in masks for x in _mask_members(full & ~m)
+            (m, m | step) for m in masks for step in steps if not m & step
         )
     else:
         rng = random.Random(1)
@@ -214,20 +216,16 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     if len(cuts) > BOUND_SCAN_SAMPLE:
         cuts = random.Random(2).sample(cuts, BOUND_SCAN_SAMPLE)
 
-    # closures are least cuts
-    def least_cut_violation() -> str | None:
-        for m in masks:
-            ul = lower(upper(m))
-            if ul not in cut_set:
-                return f"{name}: closure of {m:#x} is not a cut"
-            for c in cuts:
-                if m & ~c == 0 and ul & ~c:
-                    return f"{name}: closure of {m:#x} is not least above it"
-        return None
-
-    violation = least_cut_violation()
-    if violation:
-        fails.append(violation)
+    # closures are least cuts: inside every cut that holds the mask, so
+    # inside the intersection of those cuts
+    for m in masks:
+        ul = lower(upper(m))
+        if ul not in cut_set:
+            fails.append(f"{name}: closure of {m:#x} is not a cut")
+            break
+        if ul & ~reduce(and_, [c for c in cuts if m & ~c == 0], full):
+            fails.append(f"{name}: closure of {m:#x} is not least above it")
+            break
     if exhaustive:
         if {lower(upper(m)) for m in masks} != cut_set:
             fails.append(f"{name}: closures of all subsets do not give all cuts")

@@ -39,6 +39,7 @@ from .poset import (
     _mask_members,
     _meet,
     _require_same_parent,
+    _setattr,
     _upper_mask,
     has_maximum,
 )
@@ -115,6 +116,7 @@ class CompletedPoset(_Record):
     cut_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _setattr(self, "cut_masks", tuple(self.cut_masks))
         for mask in self.cut_masks:
             if mask & ~self.parent.full_mask:
                 raise InvalidCut(f"mask {mask} in a completion lies outside the carrier")
@@ -126,7 +128,7 @@ class CompletedPoset(_Record):
         ordered = _canonical_order(_reversed_masks(self.parent.arity, self.cut_masks))
         if len(ordered) != len(self.cut_masks):
             raise InvalidCut("duplicate cut in completion")
-        if ordered != tuple(self.cut_masks):
+        if ordered != self.cut_masks:
             raise InvalidCut("completion cuts are not in canonical order")
         required = {d & m for d in set(self.parent.down_masks) for m in self.cut_masks}
         required.add(self.parent.full_mask)

@@ -34,7 +34,7 @@ from .errors import (
     SourceNotOrdered,
     UnknownElement,
 )
-from .poset import Parent, Poset, Subset, _Record, _join, _lower_mask, _meet, _row_tables
+from .poset import Parent, Poset, Subset, _Record, _join, _lower_mask, _meet, _row_tables, _setattr
 
 
 class PosetMap(_Record):
@@ -48,6 +48,7 @@ class PosetMap(_Record):
     assignment: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _setattr(self, "assignment", tuple(self.assignment))
         if len(self.assignment) != self.source.arity:
             raise UnknownElement("map must assign an image to every source element")
         for i in self.assignment:

@@ -12,6 +12,8 @@ and the `check` command, never by the production operations.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Sequence
 from weakref import WeakKeyDictionary
 
@@ -72,19 +74,24 @@ def brute_cuts(poset: Poset) -> list[Subset]:
 
 
 def brute_bound(completion: CompletedPoset, masks: Iterable[int], which: str) -> int:
-    """Least upper / greatest lower bound of cut masks, by scanning the whole cut list."""
+    """Least upper / greatest lower bound of cut masks, by one scan of the cut list.
+
+    A cut lies above (below) every member exactly when it holds their union
+    (lies in their intersection), and a family of sets has a least (greatest)
+    member exactly when its intersection (union) is one of them.
+    """
     if which not in ("sup", "inf"):
         raise ValueError(f"which must be 'sup' or 'inf', got {which!r}")
-    members = list(masks)
     cuts = completion.cut_masks
     if which == "sup":
-        above = [m for m in cuts if all(mem & ~m == 0 for mem in members)]
-        bounds = (c for c in above if all(c & ~other == 0 for other in above))
+        union = reduce(or_, masks, 0)
+        bounds = [m for m in cuts if union & ~m == 0]
+        bound = reduce(and_, bounds, completion.parent.full_mask)
     else:
-        below = [m for m in cuts if all(m & ~mem == 0 for mem in members)]
-        bounds = (c for c in below if all(other & ~c == 0 for other in below))
-    bound = next(bounds, None)
-    if bound is None:
+        common = reduce(and_, masks, completion.parent.full_mask)
+        bounds = [m for m in cuts if m & ~common == 0]
+        bound = reduce(or_, bounds, 0)
+    if bound not in bounds:
         raise NoBound(f"no {which} exists; the cut lattice is not complete (bug)")
     return bound
 

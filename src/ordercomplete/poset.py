@@ -31,6 +31,7 @@ from typing import Iterable, Sequence, Union
 from .errors import (
     CycleDetected,
     DuplicateLabel,
+    InvalidInput,
     NotAPartialOrder,
     ParentMismatch,
     ResourceCap,
@@ -137,6 +138,9 @@ class CarrierSet(_Record):
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.labels, str):
+            raise InvalidInput("carrier labels must be a sequence of labels, not one string")
+        _setattr(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise DuplicateLabel("carrier labels must be distinct")
 
@@ -182,6 +186,7 @@ class Poset(CarrierSet):
 
     def __post_init__(self) -> None:
         CarrierSet.__post_init__(self)
+        _setattr(self, "up_masks", tuple(self.up_masks))
         n = len(self.labels)
         if len(self.up_masks) != n:
             raise NotAPartialOrder("relation size does not match carrier")

@@ -96,6 +96,28 @@ def test_bound_scan_catches_a_wrong_bound(which, kernel, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("which, kernel", [("sup", "_join"), ("inf", "_meet")])
+def test_exhaustive_family_scan_names_a_wrong_bound(which, kernel, monkeypatch):
+    """On divisor(60) (12 cuts) the scan checks all 4,096 cut families; a
+    lattice operation wrong on one family of three cuts is named by its cut
+    indices.  Cuts 3, 4 and 11 are <5], <4] and <60], family 0x818 of the
+    scan: the embedding check passes the same down-sets in element order,
+    <4] first, so only the family scan sees the faulty list."""
+    completion = macneille_completion(generate(GeneratorSpec("divisor", m=60)))
+    indices = (3, 4, 11)
+    family = [completion.cut_masks[i] for i in indices]
+    real = getattr(checks, kernel)
+
+    def faulty(poset, masks):
+        masks = list(masks)
+        return poset.full_mask ^ real(poset, masks) if masks == family else real(poset, masks)
+
+    monkeypatch.setattr(checks, kernel, faulty)
+    assert checks.check_completion("divisor(60)", completion) == [
+        f"divisor(60): {which} disagrees with the bound scan on (3, 4, 11)",
+    ]
+
+
 # divisor(12) lists 1, 2, 3, 4, 6, 12, so mask 0x3 is {1,2}, the down-set of 2,
 # and the join sees it as the family of the down-sets of 1 and 2: (0x1, 0x3)
 @pytest.mark.parametrize(

@@ -133,6 +133,39 @@ class TestBruteCuts:
         assert solutions(broken) == reference
 
 
+def quadratic_bound(cuts, members, which):
+    """The bound by the double scan: the cuts above (below) every member,
+    then the first of them below (above) all the others; None for none."""
+    if which == "sup":
+        above = [m for m in cuts if all(mem & ~m == 0 for mem in members)]
+        bounds = (c for c in above if all(c & ~other == 0 for other in above))
+    else:
+        below = [m for m in cuts if all(m & ~mem == 0 for mem in members)]
+        bounds = (c for c in below if all(other & ~c == 0 for other in below))
+    return next(bounds, None)
+
+
+def bound_or_none(bits, cuts, members, which):
+    """``brute_bound`` over an arbitrary mask list on an antichain of ``bits``."""
+    carrier = build_poset([f"e{i}" for i in range(bits)], [])
+    completion = _trusted(CompletedPoset, parent=carrier, cut_masks=tuple(cuts))
+    try:
+        return brute_bound(completion, iter(members), which)
+    except NoBound:
+        return None
+
+
+@st.composite
+def mask_lists(draw):
+    """0 to 12 masks over at most 8 bits, repeats allowed, and 0 to 4 members
+    that are masks of the list or any masks."""
+    bits = draw(st.integers(0, 8))
+    mask = st.integers(0, (1 << bits) - 1)
+    cuts = draw(st.lists(mask, max_size=12))
+    member = st.one_of(mask, st.sampled_from(cuts)) if cuts else mask
+    return bits, cuts, draw(st.lists(member, max_size=4))
+
+
 class TestBruteBound:
     def test_singleton_family_returns_member(self):
         completion = macneille_completion(chain3())
@@ -163,6 +196,37 @@ class TestBruteBound:
                 assert inf_cuts(completion, family).mask == brute_bound(
                     completion, masks, "inf"
                 )
+
+    @given(mask_lists(), st.sampled_from(["sup", "inf"]))
+    def test_agrees_with_the_double_scan(self, drawn, which):
+        """The one-pass scan finds the bound of the double scan on any mask
+        list, lattice or not; both find none on the same families."""
+        bits, cuts, members = drawn
+        assert bound_or_none(bits, cuts, members, which) == quadratic_bound(cuts, members, which)
+
+    def test_agrees_with_the_double_scan_on_seeded_lists(self):
+        """Half of the lists are drawn from a closure system (masks closed under
+        intersection, the full mask added), so many of their families have bounds."""
+        import random
+
+        rng = random.Random(0)
+        outcomes = set()
+        for _ in range(3000):
+            bits = rng.randint(0, 8)
+            full = (1 << bits) - 1
+            cuts = [rng.randint(0, full) for _ in range(rng.randint(0, 12))]
+            if rng.random() < 0.5:
+                closed = {full}
+                for m in cuts:
+                    closed |= {m & c for c in closed} | {m}
+                cuts = rng.sample(sorted(closed), min(len(closed), 12))
+            pool = cuts + [rng.randint(0, full)]
+            members = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+            for which in ("sup", "inf"):
+                expected = quadratic_bound(cuts, members, which)
+                assert bound_or_none(bits, cuts, members, which) == expected
+                outcomes.add((which, expected is None, members == []))
+        assert len(outcomes) == 8  # each direction: found or not, empty family or not
 
     def test_bad_direction_rejected(self):
         completion = macneille_completion(chain3())

@@ -9,9 +9,10 @@ import pytest
 
 from ordercomplete import completion, mapext, solver
 from ordercomplete.completion import Cut, _trusted, macneille_completion, verify_macneille
+from ordercomplete.errors import InvalidInput
 from ordercomplete.generators import GeneratorSpec
 from ordercomplete.mapext import check_bound_chain
-from ordercomplete.poset import CarrierSet, Subset, _Record, build_poset
+from ordercomplete.poset import CarrierSet, Poset, Subset, _Record, build_poset
 from ordercomplete.solver import build_equation, global_character, solve
 
 
@@ -167,3 +168,28 @@ def test_known_defaults():
     assert solver.EquationInstance._defaults == {"max_cuts": completion.DEFAULT_MAX_CUTS}
     assert GeneratorSpec("chain") == GeneratorSpec(family="chain", n=None, stencil=None)
     assert set(GeneratorSpec._defaults) == set(GeneratorSpec._fields) - {"family"}
+
+
+def test_list_fields_are_stored_as_tuples():
+    """A list given for a tuple field gives the value the tuple gives, and hashes."""
+    chain = SAMPLES["Poset"]
+    cp = SAMPLES["CompletedPoset"]
+    t = SAMPLES["PosetMap"]
+    pairs = [
+        (CarrierSet(list(chain.labels)), CarrierSet(chain.labels)),
+        (Poset(list(chain.labels), list(chain.up_masks)), chain),
+        (completion.CompletedPoset(chain, list(cp.cut_masks)), cp),
+        (mapext.PosetMap(t.source, t.target, list(t.assignment)), t),
+    ]
+    for given, reference in pairs:
+        assert given == reference
+        assert hash(given) == hash(reference)
+        assert all(type(getattr(given, name)) is not list for name in given._fields)
+    assert Poset(("a", "b"), [3, 2]) == Poset(("a", "b"), (3, 2))
+
+
+@pytest.mark.parametrize("cls, args", [(CarrierSet, ("uv",)), (Poset, ("uv", (1, 2)))])
+def test_string_labels_are_rejected(cls, args):
+    """One string is not a list of labels: "uv" would be the carrier {u, v}."""
+    with pytest.raises(InvalidInput, match="not one string"):
+        cls(*args)
