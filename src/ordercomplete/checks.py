@@ -9,13 +9,13 @@ Each check returns a list of failure strings (empty means pass) so that
 both the `check` command and the test suite can share them.  Subset- and
 family-indexed checks run exhaustively while 2^count <= EXHAUSTIVE_MASKS
 and fall back to seeded deterministic samples of fixed size beyond, so a
-fixed corpus always produces the same verdict.  The family sup and inf,
-checked against the oracle's bound scan in ``check_completion``, see at
-most 2 + 2 * BOUND_SCAN_SAMPLE families, and the least-cut test at most
-BOUND_SCAN_SAMPLE cuts per mask.  So the work peaks at the threshold:
-at k = 12 cuts the oracle's one pass over the k cuts runs on all 2^k
-families, and above it the work of ``check_completion`` grows about
-linearly in k.
+fixed corpus always produces the same verdict.  The least-cut test reads
+the n principal down-sets per mask, whatever the cut count k.  The family
+sup and inf, checked against the oracle's bound scan in
+``check_completion``, see at most 2 + 2 * BOUND_SCAN_SAMPLE families, so
+that work peaks at the threshold: at k = 12 cuts the oracle's one pass
+over the k cuts runs on all 2^k families, and above it the work of
+``check_completion`` grows about linearly in k.
 
 Note on the full-carrier equivalence: on a carrier with a minimum, the
 set of upper bounds of {minimum} is everything, so the textbook
@@ -52,7 +52,7 @@ from .solver import EquationInstance, _criterion, global_character
 
 EXHAUSTIVE_MASKS = 4096  # all subsets when 2^count fits
 FAMILY_SAMPLE = 256
-BOUND_SCAN_SAMPLE = 64  # oracle bound scan families; cuts per least-cut test
+BOUND_SCAN_SAMPLE = 64  # cut families for the oracle's bound scan
 
 
 def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[tuple[int, ...]]:
@@ -211,19 +211,17 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
         if lower(up[x]) != down[x] or upper(down[x]) != up[x]:
             fails.append(f"{name}: principal sets are not mutual bounds at {x}")
 
-    cuts = completion.cut_masks
-    cut_set = set(cuts)
-    if len(cuts) > BOUND_SCAN_SAMPLE:
-        cuts = random.Random(2).sample(cuts, BOUND_SCAN_SAMPLE)
+    cut_set = set(completion.cut_masks)
 
-    # closures are least cuts: inside every cut that holds the mask, so
-    # inside the intersection of those cuts
+    # closures are least cuts: every cut is the intersection of the principal
+    # down-sets that hold it, so the least cut that holds the mask is the
+    # intersection of the principal down-sets that hold the mask
     for m in masks:
         ul = lower(upper(m))
         if ul not in cut_set:
             fails.append(f"{name}: closure of {m:#x} is not a cut")
             break
-        if ul & ~reduce(and_, [c for c in cuts if m & ~c == 0], full):
+        if ul & ~reduce(and_, [d for d in down if m & ~d == 0], full):
             fails.append(f"{name}: closure of {m:#x} is not least above it")
             break
     if exhaustive:
@@ -485,8 +483,8 @@ class Suite(NamedTuple):
 
 
 def _cutcalc_summary(sizes: list[tuple[int, int]]) -> str:
-    # a poset is sampled when its masks or its cuts per least-cut test are
-    sampled = sum(1 << n > EXHAUSTIVE_MASKS or k > BOUND_SCAN_SAMPLE for n, k in sizes)
+    # a poset is sampled when its element masks are; the cut count plays no part
+    sampled = sum(1 << n > EXHAUSTIVE_MASKS for n, _ in sizes)
     masks = sum(min(1 << n, EXHAUSTIVE_MASKS) for n, _ in sizes)
     note = f" ({sampled} sampled rather than scanned exhaustively; {masks} masks checked)"
     return f"cutcalc on {len(sizes)} posets" + (note if sampled else "")

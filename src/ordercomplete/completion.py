@@ -7,8 +7,9 @@ context (P, P, <=), so the kernels are the standard concept-lattice
 ones: enumeration intersects the cuts found so far with one principal
 down-set at a time (Norris 1978), Hasse covers are the minimal closures
 of a cut plus one element (Lindig 2000).  Every closure goes through
-the table-driven kernel of `poset`.  The exponential 2^n scan and the
-cubic cover scan live in `oracle` as the reference implementations.
+the table-driven kernel of `poset`.  The reference implementations live
+in `oracle`: NextClosure for the cuts and the covers by definition, both
+on closures taken from the raw bound definitions.
 
 Values are validated once, at the boundary.  The public constructors
 ``Cut(...)`` and ``CompletedPoset(...)`` check everything they claim; in

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable, Sequence
+from typing import Iterable
 from weakref import WeakKeyDictionary
 
 from .completion import CompletedPoset
@@ -96,25 +96,17 @@ def brute_bound(completion: CompletedPoset, masks: Iterable[int], which: str) ->
     return bound
 
 
-def brute_covers(masks: Sequence[int]) -> list[tuple[int, int]]:
-    """Cover edges (i, j) of the inclusion order on a family of masks.
-
-    Tests every pair against every third mask, so O(k^3).
-    """
-    n = len(masks)
+def brute_covers(completion: CompletedPoset) -> list[tuple[int, int]]:
+    """Cover edges (i, j) of the cut lattice, by definition: the upper
+    covers of a cut are the minimal closures of the cut plus one element."""
+    poset = completion.parent
+    index = {mask: i for i, mask in enumerate(completion.cut_masks)}
     covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or masks[i] & ~masks[j]:
-                continue
-            if any(
-                k not in (i, j)
-                and masks[i] & ~masks[k] == 0
-                and masks[k] & ~masks[j] == 0
-                for k in range(n)
-            ):
-                continue
-            covers.append((i, j))
+    for i, mask in enumerate(completion.cut_masks):
+        closures = {brute_closure(poset, mask | 1 << x)
+                    for x in range(poset.arity) if not mask >> x & 1}
+        covers += sorted((i, index[c]) for c in closures
+                         if not any(d != c and d & ~c == 0 for d in closures))
     return covers
 
 

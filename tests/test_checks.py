@@ -205,6 +205,22 @@ def test_bound_calculus_checks_antitonicity_on_every_step_of_a_full_scan(monkeyp
     assert "divisor(60): bounds are not antitone on 0x1a <= 0x11a" in fails
 
 
+def test_bound_calculus_names_a_closure_that_is_not_least(monkeypatch):
+    """The least-cut test reads every principal down-set, whatever the cut
+    count, so on S_10 (1,024 cuts) it names a closure of {a0,a3,a4,a8}
+    returned as its upper cover {a0,a3,a4,a6,a8}: a cut, and above the mask."""
+    completion = macneille_completion(poset_from_data(_standard(10)))
+    real = checks._lower_mask
+
+    def faulty(poset, mask):
+        out = real(poset, mask)
+        return 0x159 if out == 0x119 else out
+
+    monkeypatch.setattr(checks, "_lower_mask", faulty)
+    fails = checks.check_bound_calculus("S_10", completion)
+    assert "S_10: closure of 0x119 is not least above it" in fails
+
+
 @pytest.mark.parametrize("kernel", ["_upper_mask", "_lower_mask"])
 @pytest.mark.parametrize("x", [3, 11, 19])
 def test_bound_calculus_names_a_wrong_singleton_bound(kernel, x, monkeypatch):

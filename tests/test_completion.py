@@ -515,6 +515,8 @@ def _dot_edges(text):
 COVER_CASES = {
     "S6": standard(6),
     "S8": standard(8),
+    "S9": standard(9),
+    "S10": standard(10),
     "boolean(4)": generate(GeneratorSpec("boolean", k=4)),
     "divisor(60)": generate(GeneratorSpec("divisor", m=60)),
     "gridfn(2,4)": generate(GeneratorSpec("gridfn", g=2, v=4)).codomain,
@@ -527,13 +529,51 @@ COVER_CASES = {
 }
 
 
+def _cubic_covers(masks):
+    """Cover edges (i, j) of inclusion on a family of masks: every pair
+    tested against every third mask, O(k^3)."""
+    n = len(masks)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j and masks[i] & ~masks[j] == 0 and not any(
+            k not in (i, j) and masks[i] & ~masks[k] == 0 and masks[k] & ~masks[j] == 0
+            for k in range(n)
+        )
+    ]
+
+
 class TestDotExport:
     @pytest.mark.parametrize("name", list(COVER_CASES))
     def test_edges_match_brute_covers(self, name):
         completion = macneille_completion(COVER_CASES[name])
         edges = _dot_edges(to_dot(completion))
-        assert edges == sorted(brute_covers(completion.cut_masks))
+        assert edges == sorted(brute_covers(completion))
         assert edges
+
+    def test_brute_covers_match_the_cubic_scan(self):
+        """The minimal closures of a cut plus one element are its covers in
+        the inclusion order of the cut list, on every case the cubic scan
+        can run: all but S_9 and S_10."""
+        small = [macneille_completion(poset) for poset in COVER_CASES.values()]
+        small = [completion for completion in small if completion.cut_count <= 256]
+        assert len(small) == len(COVER_CASES) - 2
+        for completion in small:
+            assert brute_covers(completion) == _cubic_covers(completion.cut_masks)
+
+    @pytest.mark.parametrize("fault", [
+        lambda poset, covers: covers[:-1],
+        lambda poset, covers: covers + [poset.full_mask],
+    ], ids=["last cover dropped", "edge to the full carrier"])
+    def test_oracle_catches_a_cover_fault_at_cap_scale(self, fault, monkeypatch):
+        """On S_10 (1,024 cuts) the DOT edges of a faulty cover kernel
+        differ from the oracle's."""
+        completion = macneille_completion(COVER_CASES["S10"])
+        real = completion_module._upper_covers
+        monkeypatch.setattr(completion_module, "_upper_covers",
+                            lambda poset, mask: fault(poset, real(poset, mask)))
+        assert _dot_edges(to_dot(completion)) != sorted(brute_covers(completion))
 
     def test_dot_contains_cover_edges_only(self):
         text = to_dot(macneille_completion(chain3()))
