@@ -483,7 +483,7 @@ class Suite(NamedTuple):
 
 
 def _cutcalc_summary(sizes: list[tuple[int, int]]) -> str:
-    # a poset is sampled when its element masks are; the cut count plays no part
+    # a poset is sampled when its element masks are, whatever its cut count
     sampled = sum(1 << n > EXHAUSTIVE_MASKS for n, _ in sizes)
     masks = sum(min(1 << n, EXHAUSTIVE_MASKS) for n, _ in sizes)
     note = f" ({sampled} sampled rather than scanned exhaustively; {masks} masks checked)"
