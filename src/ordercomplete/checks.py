@@ -9,8 +9,12 @@ Each check returns a list of failure strings (empty means pass) so that
 both the `check` command and the test suite can share them.  Subset- and
 family-indexed checks run exhaustively while 2^count <= EXHAUSTIVE_MASKS
 and fall back to seeded deterministic samples of fixed size beyond, so a
-fixed corpus always produces the same verdict.  The least-cut test reads
-the n principal down-sets per mask, whatever the cut count k.  The family
+fixed corpus always produces the same verdict.  While every mask is
+scanned, ``check_bound_calculus`` reads each bound kernel once per mask
+into a list indexed by the mask, and its boundedness and least-cut tests
+read two arrays that AND each principal down-set (up-set) into its
+submasks; above that, they read the n principal sets per sampled mask.
+Either way the work does not depend on the cut count k.  The family
 sup and inf, checked against the oracle's bound scan in
 ``check_completion``, see at most 2 + 2 * BOUND_SCAN_SAMPLE families, so
 that work peaks at the threshold: at k = 12 cuts the oracle's one pass
@@ -64,10 +68,7 @@ def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[
     2 + 2 * sample_budget families, whatever the count.
     """
     if 1 << count <= EXHAUSTIVE_MASKS:  # family m lists the set bits of m, ascending
-        families = [()]
-        for i in range(count):  # the families holding i: those below it, each with i added
-            families += [family + (i,) for family in families]
-        yield from families
+        yield from _subset_tuples(range(count))
         return
     yield ()
     yield tuple(range(count))
@@ -80,6 +81,16 @@ def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[
     for _ in range(sample_budget):
         size = rng.randint(1, count)
         yield tuple(sorted(rng.sample(range(count), size)))
+
+
+def _subset_tuples(items: Iterable) -> list[tuple]:
+    """Entry m holds the items at the set bits of m, in order, for every m
+    below 2^len(items): the entries holding an item are those before it,
+    each with the item added, so each item doubles the list."""
+    out: list[tuple] = [()]
+    for item in items:
+        out += [entry + (item,) for entry in out]
+    return out
 
 
 def _family_count(count: int, sample_budget: int) -> int:
@@ -137,15 +148,53 @@ def _sampled_masks(poset: Poset) -> list[int]:
     return sorted(masks)
 
 
+def _superset_and(sets: Iterable[int], size: int) -> list[int]:
+    """For each mask below ``size``, the AND of the distinct sets that hold
+    it, or -1 when none does: each set ANDs itself into its submasks."""
+    out = [-1] * size
+    for s in set(sets):
+        sub = s
+        while True:  # the submasks of s, from s down to 0 (Knuth 7.1.3)
+            out[sub] &= s
+            if not sub:
+                break
+            sub = sub - 1 & s
+    return out
+
+
 def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
-    """Identities of the upper/lower-bound operators on one completed poset."""
-    fails: list[str] = []
+    """Identities of the upper/lower-bound operators on one completed poset.
+
+    The kernels are read once per scanned mask, into lists U and L.  When
+    every mask is scanned, ``masks`` is ``range(2^n)``, so the lists are
+    indexed by the mask and every identity is one pass over them; above
+    that, the closures and steps read masks off the scan, through a cache.
+    """
     poset = completion.parent
     n = poset.arity
     full = poset.full_mask
+    down, up = poset.down_masks, poset.up_masks
     masks = _sampled_masks(poset)
-    upper = cache(partial(_upper_mask, poset))
-    lower = cache(partial(_lower_mask, poset))
+    exhaustive = 1 << n <= EXHAUSTIVE_MASKS
+    if exhaustive:
+        U = [_upper_mask(poset, m) for m in masks]
+        L = [_lower_mask(poset, m) for m in masks]
+        upper, lower = U.__getitem__, L.__getitem__
+    else:
+        upper, lower = cache(partial(_upper_mask, poset)), cache(partial(_lower_mask, poset))
+        U, L = [upper(m) for m in masks], [lower(m) for m in masks]
+
+    # a value off the carrier would index the tables or lists out of range (or,
+    # if negative, from the end), so it ends the check; above 4,096 masks the
+    # closures read the kernel on masks off the scan, so they are tested too
+    off = next((m for m, u, l in zip(masks, U, L) if (u | l) & ~full), None)
+    if off is None:
+        UL = [lower(u) for u in U]
+        LU = [upper(l) for l in L]
+        off = next((m for m, ul, lu in zip(masks, UL, LU) if (ul | lu) & ~full), None)
+    if off is not None:
+        return [f"{name}: bounds leave the carrier on {off:#x}"]
+    fails: list[str] = []
 
     # raw-definition equivalence on every mask inside one chunk of 8 elements,
     # which reads every table entry; the kernel ANDs one entry per chunk, as the
@@ -158,51 +207,52 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     # A^u = X iff A lies in X^l, and dually; masks starts with 0, where this is {}^u = X
     min_mask = lower(full)
     max_mask = upper(full)
-    for m in masks:
-        if (upper(m) == full) != (m & ~min_mask == 0):
+    for m, u, l in zip(masks, U, L):
+        if (u == full) != (m & ~min_mask == 0):
             fails.append(f"{name}: full-carrier test for upper bounds broke on {m:#x}")
             break
-        if (lower(m) == full) != (m & ~max_mask == 0):
+        if (l == full) != (m & ~max_mask == 0):
             fails.append(f"{name}: full-carrier test for lower bounds broke on {m:#x}")
             break
 
-    # empty bounds exactly mean unbounded
-    down, up = poset.down_masks, poset.up_masks
-    for m in masks:
-        if (upper(m) == 0) == any(m & ~d == 0 for d in down):
+    # empty bounds exactly mean unbounded: a mask is bounded above exactly when
+    # a principal down-set holds it, and the AND of those is the least cut
+    # that holds it, since every cut is the intersection of the principal
+    # down-sets that hold it (Davey & Priestley 2002, ch. 7); -1 for none
+    if exhaustive:
+        above, below = _superset_and(down, 1 << n), _superset_and(up, 1 << n)
+    else:
+        above, below = ([reduce(and_, [s for s in sets if m & ~s == 0], -1) for m in masks]
+                        for sets in (down, up))
+    for m, u, l, a, b in zip(masks, U, L, above, below):
+        if (u == 0) == (a != -1):
             fails.append(f"{name}: boundedness above mismatched on {m:#x}")
             break
-        if (lower(m) == 0) == any(m & ~u == 0 for u in up):
+        if (l == 0) == (b != -1):
             fails.append(f"{name}: boundedness below mismatched on {m:#x}")
             break
 
     # antitone on inclusion: every nested pair is a chain of one-element steps,
     # so when every mask is scanned, every step (m, m + {x}) covers every pair
-    exhaustive = 1 << n <= EXHAUSTIVE_MASKS
     if exhaustive:
         steps = [1 << x for x in range(n)]
-        pairs: Iterable[tuple[int, int]] = (
-            (m, m | step) for m in masks for step in steps if not m & step
-        )
+        bad = next(((m, m | step) for m, u, l in zip(masks, U, L) for step in steps
+                    if not m & step and (U[m | step] & ~u or L[m | step] & ~l)), None)
     else:
         rng = random.Random(1)
-        pairs = (
-            (big & rng.randint(0, full), big)
-            for big in rng.choices(masks, k=EXHAUSTIVE_MASKS)
-        )
-    for small, big in pairs:
-        if upper(big) & ~upper(small) or lower(big) & ~lower(small):
-            fails.append(f"{name}: bounds are not antitone on {small:#x} <= {big:#x}")
-            break
+        pairs = ((big & rng.randint(0, full), big)
+                 for big in rng.choices(masks, k=EXHAUSTIVE_MASKS))
+        bad = next(((small, big) for small, big in pairs
+                    if upper(big) & ~upper(small) or lower(big) & ~lower(small)), None)
+    if bad is not None:
+        fails.append(f"{name}: bounds are not antitone on {bad[0]:#x} <= {bad[1]:#x}")
 
     # expansion and the three-step collapse
-    for m in masks:
-        ul = lower(upper(m))
-        lu = upper(lower(m))
+    for m, u, l, ul, lu in zip(masks, U, L, UL, LU):
         if m & ~ul or m & ~lu:
             fails.append(f"{name}: subset not contained in its closures on {m:#x}")
             break
-        if upper(ul) != upper(m) or lower(lu) != lower(m):
+        if upper(ul) != u or lower(lu) != l:
             fails.append(f"{name}: triple bound operator did not collapse on {m:#x}")
             break
 
@@ -211,26 +261,26 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
         if lower(up[x]) != down[x] or upper(down[x]) != up[x]:
             fails.append(f"{name}: principal sets are not mutual bounds at {x}")
 
+    # closures are least cuts, below the AND above (-1, for no down-set, flags no bit)
     cut_set = set(completion.cut_masks)
-
-    # closures are least cuts: every cut is the intersection of the principal
-    # down-sets that hold it, so the least cut that holds the mask is the
-    # intersection of the principal down-sets that hold the mask
-    for m in masks:
-        ul = lower(upper(m))
+    for m, ul, least in zip(masks, UL, above):
         if ul not in cut_set:
             fails.append(f"{name}: closure of {m:#x} is not a cut")
             break
-        if ul & ~reduce(and_, [d for d in down if m & ~d == 0], full):
+        if ul & ~least:
             fails.append(f"{name}: closure of {m:#x} is not least above it")
             break
-    if exhaustive:
-        if {lower(upper(m)) for m in masks} != cut_set:
-            fails.append(f"{name}: closures of all subsets do not give all cuts")
+    if exhaustive and set(UL) != cut_set:
+        fails.append(f"{name}: closures of all subsets do not give all cuts")
 
-    # closure equals the sup of the embedded members
-    for m in masks:
-        if lower(upper(m)) != _join(poset, [down[x] for x in _mask_members(m)]):
+    # closure equals the sup of embedded members, as a tuple of down-sets in
+    # element order; when every mask is scanned, the tuple of mask m is entry m
+    if exhaustive:
+        members: Iterable[Iterable[int]] = _subset_tuples(down)
+    else:
+        members = ([down[x] for x in _mask_members(m)] for m in masks)
+    for m, ul, family in zip(masks, UL, members):
+        if ul != _join(poset, family):
             fails.append(f"{name}: closure is not the sup of embedded members on {m:#x}")
             break
 
@@ -257,8 +307,12 @@ def check_completion(name: str, completion: CompletedPoset) -> list[str]:
     fails.extend(_bound_keeping_failures(name, poset))
 
     masks = completion.cut_masks
-    for indices in _iter_index_families(len(masks), 0, BOUND_SCAN_SAMPLE):
-        family = [masks[i] for i in indices]
+    indexed = _iter_index_families(len(masks), 0, BOUND_SCAN_SAMPLE)
+    if 1 << len(masks) <= EXHAUSTIVE_MASKS:  # family m is the mask m
+        families: Iterable[tuple[Any, Any]] = zip(indexed, _subset_tuples(masks))
+    else:
+        families = ((indices, [masks[i] for i in indices]) for indices in indexed)
+    for indices, family in families:
         if _join(poset, family) != brute_bound(completion, family, "sup"):
             fails.append(f"{name}: sup disagrees with the bound scan on {indices}")
             break
@@ -273,13 +327,22 @@ def _bound_keeping_failures(name: str, poset: Poset) -> list[str]:
     the table kernel off the principal sets that ``verify_macneille`` checks."""
     fails = []
     principal = poset.down_masks
-    for indices in _iter_index_families(poset.arity, 1, FAMILY_SAMPLE):
-        mask = sum(1 << i for i in indices)
-        members = [principal[i] for i in indices]
-        s = minimum_index(poset, _upper_mask(poset, mask))
+    if 1 << poset.arity <= EXHAUSTIVE_MASKS:  # family m is the mask m
+        families: Iterable[tuple[int, Any]] = enumerate(_subset_tuples(principal))
+    else:
+        families = (
+            (sum(1 << i for i in indices), [principal[i] for i in indices])
+            for indices in _iter_index_families(poset.arity, 1, FAMILY_SAMPLE)
+        )
+    for mask, members in families:
+        upper, lower = _upper_mask(poset, mask), _lower_mask(poset, mask)
+        if (upper | lower) & ~poset.full_mask:
+            fails.append(f"{name}: bounds of {cut_label(poset, mask)} leave the carrier")
+            break
+        s = minimum_index(poset, upper)
         if s is not None and _join(poset, members) != principal[s]:
             fails.append(f"{name}: embedding loses the supremum of {cut_label(poset, mask)}")
-        t = maximum_index(poset, _lower_mask(poset, mask))
+        t = maximum_index(poset, lower)
         if t is not None and _meet(poset, members) != principal[t]:
             fails.append(f"{name}: embedding loses the infimum of {cut_label(poset, mask)}")
     return fails

@@ -10,8 +10,10 @@ scan cannot quietly check less on the gate's inputs.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
+from hypothesis import given
 
 from ordercomplete import checks, cli
 from ordercomplete.completion import _closure_mask, _trusted, macneille_completion
@@ -21,7 +23,8 @@ from ordercomplete.mapext import PosetMap
 from ordercomplete.poset import CarrierSet
 from ordercomplete.solver import EquationInstance
 
-from test_golden import _standard, check_inputs
+from conftest import posets
+from test_golden import _family, _standard, _write, check_inputs
 
 COVERAGE = "6a5c385185538fe244b52f0a4a8f25e93f7208d2846fa3ea91ef455f74d437b8"
 
@@ -236,6 +239,127 @@ def test_bound_calculus_names_a_wrong_singleton_bound(kernel, x, monkeypatch):
     monkeypatch.setattr(checks, kernel, faulty)
     line = f"S_10: operators disagree with the double loop on {1 << x:#x}"
     assert line in checks.check_bound_calculus("S_10", completion)
+
+
+# divisor(60) lists 1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60; each fault flips
+# one result bit on one mask and names the first failure of each loop it breaks
+@pytest.mark.parametrize(
+    "kernel, fault_on, bit, expected",
+    [
+        # {1,3,4,5,6,10,12,15} has only 60 above it: no upper bound left
+        ("_upper_mask", 0x17D, 11, [
+            "boundedness above mismatched on 0x17d",
+            "bounds are not antitone on 0x17d <= 0x17f",
+            "triple bound operator did not collapse on 0x17d",
+        ]),
+        # {1,3,5,12} has only 1 below it: no lower bound left
+        ("_lower_mask", 0x115, 0, [
+            "boundedness below mismatched on 0x115",
+            "bounds are not antitone on 0x115 <= 0x117",
+            "triple bound operator did not collapse on 0x115",
+        ]),
+        # {2,20} has the upper bounds {20,60}; dropping 20 closes it to <60]
+        ("_upper_mask", 0x202, 9, [
+            "bounds are not antitone on 0x202 <= 0x203",
+            "closure of 0x202 is not least above it",
+            "closure is not the sup of embedded members on 0x202",
+        ]),
+        # {4,30} has the lower bounds {1,2}; dropping 1 breaks its collapse only
+        ("_lower_mask", 0x408, 0, [
+            "bounds are not antitone on 0x408 <= 0x409",
+            "triple bound operator did not collapse on 0x408",
+        ]),
+        # the join of <2], <4], <5], <15] (mask 0x11a): the sup line alone
+        ("_join", 0x11A, 0, ["closure is not the sup of embedded members on 0x11a"]),
+    ],
+)
+def test_bound_calculus_names_a_one_bit_fault_on_a_full_scan(kernel, fault_on, bit, expected,
+                                                             monkeypatch):
+    """Above 8 elements the scan reads whole mask arrays; a fault on one mask
+    of divisor(60) (12 elements) is named by the loops it breaks, first
+    failure each, as at 8 elements and fewer."""
+    completion = macneille_completion(generate(GeneratorSpec("divisor", m=60)))
+    down = completion.parent.down_masks
+    family = tuple(down[x] for x in range(12) if fault_on >> x & 1)
+    real = getattr(checks, kernel)
+
+    def faulty(poset, arg):
+        out = real(poset, arg)
+        hit = tuple(arg) == family if kernel == "_join" else arg == fault_on
+        return out ^ 1 << bit if hit else out
+
+    monkeypatch.setattr(checks, kernel, faulty)
+    assert checks.check_bound_calculus("divisor(60)", completion) == [
+        f"divisor(60): {line}" for line in expected
+    ]
+
+
+def test_bound_calculus_reads_each_kernel_once_per_mask(monkeypatch):
+    """On divisor(60) every one of the 4,096 masks is scanned, and each bound
+    kernel is read at most once per mask."""
+    completion = macneille_completion(generate(GeneratorSpec("divisor", m=60)))
+    calls = {"_upper_mask": Counter(), "_lower_mask": Counter()}
+    for kernel, counts in calls.items():
+        def counted(poset, mask, real=getattr(checks, kernel), counts=counts):
+            counts[mask] += 1
+            return real(poset, mask)
+
+        monkeypatch.setattr(checks, kernel, counted)
+    assert checks.check_bound_calculus("divisor(60)", completion) == []
+    for counts in calls.values():
+        assert set(counts) == set(range(4096))
+        assert set(counts.values()) == {1}
+
+
+@given(posets(max_n=12))
+def test_poset_suites_pass_on_random_posets(poset):
+    """Both poset suites pass on every poset of up to 12 elements, the
+    whole-array path of cutcalc included."""
+    completion = macneille_completion(poset)
+    assert checks.check_bound_calculus("p", completion) == []
+    assert checks.check_completion("p", completion) == []
+
+
+@pytest.mark.parametrize("suite, line", [
+    ("cutcalc", "input: bounds leave the carrier on 0x3"),
+    ("macneille", "input: bounds of {1,2} leave the carrier"),
+])
+@pytest.mark.parametrize("fault", [lambda out, n: out | 1 << n, lambda out, n: ~out],
+                         ids=["over-range", "negative"])
+def test_poset_suites_name_a_bound_off_the_carrier(suite, line, fault, tmp_path, monkeypatch,
+                                                   capsys):
+    """A kernel result off the carrier, above it or negative, is a failure
+    line and exit 1: it would index a table or a mask array out of range,
+    or a negative one from its end."""
+    real = checks._upper_mask
+
+    def faulty(poset, mask):
+        out = real(poset, mask)
+        return fault(out, poset.arity) if mask == 0x3 else out
+
+    monkeypatch.setattr(checks, "_upper_mask", faulty)
+    path = _write(tmp_path / "divisor12.json", _family(family="divisor", m=12))
+    assert cli.main(["check", suite, "--input", path]) == 1
+    assert capsys.readouterr() == (f"FAIL {suite} on 1 posets\n  counterexample: {line}\n", "")
+
+
+def test_bound_calculus_names_a_closure_off_the_carrier_above_the_mask_cap(monkeypatch):
+    """Above 4,096 masks the closures read the kernel on masks off the scan:
+    on S_10 the upper bounds of 0x91 are 0xdb800, which is not sampled, and a
+    lower bound of it off the carrier would index the last table (16 entries)
+    out of range; it is named by the sampled mask instead."""
+    completion = macneille_completion(poset_from_data(_standard(10)))
+    assert 0xDB800 not in checks._sampled_masks(completion.parent)
+    real = checks._lower_mask
+
+    def faulty(poset, mask):
+        out = real(poset, mask)
+        return out | 1 << 20 if mask == 0xDB800 else out
+
+    monkeypatch.setattr(checks, "_lower_mask", faulty)
+    assert checks.check_bound_calculus("S_10", completion) == [
+        "S_10: bounds leave the carrier on 0x91",
+    ]
 
 
 def test_macneille_names_a_table_fault_instead_of_raising():
