@@ -246,13 +246,13 @@ def test_bound_calculus_names_a_wrong_singleton_bound(kernel, x, monkeypatch):
 @pytest.mark.parametrize(
     "kernel, fault_on, bit, expected",
     [
-        # {1,3,4,5,6,10,12,15} has only 60 above it: no upper bound left
+        # {1,3,4,5,6,10,15} has only 60 above it: no upper bound left
         ("_upper_mask", 0x17D, 11, [
             "boundedness above mismatched on 0x17d",
             "bounds are not antitone on 0x17d <= 0x17f",
             "triple bound operator did not collapse on 0x17d",
         ]),
-        # {1,3,5,12} has only 1 below it: no lower bound left
+        # {1,3,5,15} has only 1 below it: no lower bound left
         ("_lower_mask", 0x115, 0, [
             "boundedness below mismatched on 0x115",
             "bounds are not antitone on 0x115 <= 0x117",
@@ -275,9 +275,10 @@ def test_bound_calculus_names_a_wrong_singleton_bound(kernel, x, monkeypatch):
 )
 def test_bound_calculus_names_a_one_bit_fault_on_a_full_scan(kernel, fault_on, bit, expected,
                                                              monkeypatch):
-    """Above 8 elements the scan reads whole mask arrays; a fault on one mask
-    of divisor(60) (12 elements) is named by the loops it breaks, first
-    failure each, as at 8 elements and fewer."""
+    """On divisor(60) (12 elements) the comparison with the double loop
+    covers only the masks inside one chunk of 8, so the loops over the mask
+    arrays must name a fault on any other mask: each one-bit fault here is
+    named by the loops it breaks, first failure each."""
     completion = macneille_completion(generate(GeneratorSpec("divisor", m=60)))
     down = completion.parent.down_masks
     family = tuple(down[x] for x in range(12) if fault_on >> x & 1)
