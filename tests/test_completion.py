@@ -12,6 +12,7 @@ from ordercomplete.completion import (
     CompletedPoset,
     Cut,
     _canonical_order,
+    _cover_edges,
     _reversed_masks,
     cut_label,
     inf_cuts,
@@ -68,6 +69,11 @@ def diamond():
         ["bot", "p", "q", "top"],
         [("bot", "p"), ("bot", "q"), ("p", "top"), ("q", "top")],
     )
+
+
+def n_shape():
+    """The N: a < c > b < d."""
+    return build_poset(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("b", "d")])
 
 
 class TestCutClosure:
@@ -574,6 +580,18 @@ class TestDotExport:
         monkeypatch.setattr(completion_module, "_upper_covers",
                             lambda poset, mask: fault(poset, real(poset, mask)))
         assert _dot_edges(to_dot(completion)) != sorted(brute_covers(completion))
+
+    @pytest.mark.parametrize("poset, edges", [
+        (generate(GeneratorSpec("boolean", k=2)), [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        # cuts {}, {a}, {b}, {b,d}, {a,b,c}, {a,b,c,d}: {b} reaches {a,b,c}
+        # through c before {b,d} through d, so its edges are not sorted
+        (n_shape(), [(0, 1), (0, 2), (1, 4), (2, 4), (2, 3), (3, 5), (4, 5)]),
+    ], ids=["boolean(2)", "N"])
+    def test_cover_edge_order(self, poset, edges):
+        """Cut order, then each cover at the last element that generates
+        it: ``_first_decrease`` names the first decreasing cover in this
+        order."""
+        assert list(_cover_edges(macneille_completion(poset))) == edges
 
     def test_dot_contains_cover_edges_only(self):
         text = to_dot(macneille_completion(chain3()))

@@ -387,6 +387,18 @@ class TestLemmaChain:
         with pytest.raises(NotIncreasing):
             check_bound_chain(c, p, mu, [c.cuts[0]])
 
+    def test_decrease_is_named_at_the_first_cover_in_edge_order(self):
+        # the N (a < c > b < d) has the cuts {}, {a}, {b}, {b,d}, {a,b,c},
+        # {a,b,c,d}; sending {b} to the full carrier breaks its covers
+        # {b} <= {a,b,c} and {b} <= {b,d}, and the cover edges list the
+        # first of them first
+        p = build_poset(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("b", "d")])
+        c = macneille_completion(p)
+        mu = c.cut_masks[:2] + (p.full_mask,) + c.cut_masks[3:]
+        with pytest.raises(NotIncreasing) as raised:
+            check_bound_chain(c, p, mu, [c.cuts[0]])
+        assert str(raised.value) == "map decreases on {b} <= {a,b,c}"
+
     def test_empty_family_rejected(self):
         p = chain3()
         c = macneille_completion(p)
