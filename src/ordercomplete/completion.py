@@ -6,10 +6,12 @@ embeds densely via x -> <x].  The cuts are the concept intents of the
 context (P, P, <=), so the kernels are the standard concept-lattice
 ones: enumeration intersects the cuts found so far with one principal
 down-set at a time (Norris 1978), Hasse covers are the minimal closures
-of a cut plus one element (Lindig 2000).  Every closure goes through
-the table-driven kernel of `poset`.  The reference implementations live
-in `oracle`: NextClosure for the cuts and the covers by definition, both
-on closures taken from the raw bound definitions.
+of a cut plus one element (Lindig 2000), each looked up by its extent:
+(C + x)^u = C^u & U_x, and a cut is fixed by its extent.  Every bound
+goes through the table-driven kernel of `poset`.  The reference
+implementations live in `oracle`: NextClosure for the cuts and the
+covers by definition, both on closures taken from the raw bound
+definitions.
 
 Values are validated once, at the boundary.  The public constructors
 ``Cut(...)`` and ``CompletedPoset(...)`` check everything they claim; in
@@ -37,7 +39,6 @@ from .poset import (
     _join,
     _lower_mask,
     _mask_labels,
-    _mask_members,
     _meet,
     _require_same_parent,
     _setattr,
@@ -264,33 +265,31 @@ def verify_macneille(completion: CompletedPoset) -> MacNeilleReport:
     )
 
 
-def _upper_covers(poset: Poset, mask: int) -> list[int]:
-    """Upper neighbours of a cut in the cut lattice.
-
-    They are the minimal closures of the cut plus one element, found with
-    Lindig's test: the closure D of C + {x} is minimal unless D - C - {x}
-    meets the elements still taken to generate minimal closures.
-    """
-    upper = _upper_mask(poset, mask)
-    minimal = poset.full_mask & ~mask
-    covers = []
-    for x in _mask_members(minimal):
-        closed = _lower_mask(poset, upper & poset.up_masks[x])
-        if minimal & closed & ~mask & ~(1 << x):
-            minimal &= ~(1 << x)
-        else:
-            covers.append(closed)
-    return covers
-
-
 def _cover_edges(completion: CompletedPoset) -> Iterator[tuple[int, int]]:
     """Index pairs (i, j) of the covers C_i < C_j of the cut lattice, in cut
-    order and then in ``_upper_covers`` order."""
+    order, then by the last element x generating C_j as cl(C_i + x).
+
+    The covers of C are its minimal closures cl(C + x), x not in C, found
+    with Lindig's test: cl(C + x) is minimal unless cl(C + x) - C - {x}
+    meets the elements still taken to generate minimal closures.  Each is
+    one dict probe, not a closure: (C + x)^u = C^u & U_x is an extent, and
+    a cut A is fixed by its extent, A = A^ul (Ganter & Wille 1999, ch. 1).
+    """
     poset = completion.parent
-    index = completion._mask_index
-    for i, mask in enumerate(completion.cut_masks):
-        for upper in _upper_covers(poset, mask):
-            yield i, index[upper]
+    masks = completion.cut_masks
+    extents = [_upper_mask(poset, mask) for mask in masks]
+    by_extent = {extent: j for j, extent in enumerate(extents)}
+    bits = [(1 << x, up) for x, up in enumerate(poset.up_masks)]
+    for i, (mask, extent) in enumerate(zip(masks, extents)):
+        minimal = poset.full_mask & ~mask
+        for bit, up in bits:
+            if bit & mask:
+                continue
+            j = by_extent[extent & up]
+            if minimal & masks[j] & ~mask & ~bit:
+                minimal &= ~bit
+            else:
+                yield i, j
 
 
 def _first_decrease(

@@ -56,11 +56,17 @@ def antichain(n):
     return build_poset([f"a{i}" for i in range(n)], [])
 
 
-def standard(n):
-    """S_n: minimal a_i below maximal b_j whenever i != j; it has 2^n cuts."""
+def standard(n, restored=()):
+    """S_n: minimal a_i below maximal b_j whenever i != j; it has 2^n cuts.
+    The pairs a_i < b_i with i in ``restored`` are put back."""
     lows = [f"a{i}" for i in range(n)]
     highs = [f"b{j}" for j in range(n)]
-    pairs = [(a, b) for i, a in enumerate(lows) for j, b in enumerate(highs) if i != j]
+    pairs = [
+        (a, b)
+        for i, a in enumerate(lows)
+        for j, b in enumerate(highs)
+        if i != j or i in restored
+    ]
     return build_poset(lows + highs, pairs)
 
 
@@ -523,8 +529,12 @@ COVER_CASES = {
     "S8": standard(8),
     "S9": standard(9),
     "S10": standard(10),
+    # the capscale export shapes: S_10 with k of its pairs (a_i, b_i)
+    # restored, boolean(4), divisor(60) and chain(20)
+    **{f"S10+{k}": standard(10, range(k)) for k in (1, 2, 3, 4, 6)},
     "boolean(4)": generate(GeneratorSpec("boolean", k=4)),
     "divisor(60)": generate(GeneratorSpec("divisor", m=60)),
+    "chain(20)": generate(GeneratorSpec("chain", n=20)),
     "gridfn(2,4)": generate(GeneratorSpec("gridfn", g=2, v=4)).codomain,
     **{
         f"random(seed={seed})": generate(
@@ -561,25 +571,47 @@ class TestDotExport:
     def test_brute_covers_match_the_cubic_scan(self):
         """The minimal closures of a cut plus one element are its covers in
         the inclusion order of the cut list, on every case the cubic scan
-        can run: all but S_9 and S_10."""
+        can run: all but S_9, S_10 and S_10 with 1 or 2 pairs restored."""
         small = [macneille_completion(poset) for poset in COVER_CASES.values()]
         small = [completion for completion in small if completion.cut_count <= 256]
-        assert len(small) == len(COVER_CASES) - 2
+        assert len(small) == len(COVER_CASES) - 4
         for completion in small:
             assert brute_covers(completion) == _cubic_covers(completion.cut_masks)
 
     @pytest.mark.parametrize("fault", [
-        lambda poset, covers: covers[:-1],
-        lambda poset, covers: covers + [poset.full_mask],
+        lambda edges, top: [e for e, after in zip(edges, edges[1:] + [None]) if after
+                            and after[0] == e[0]],
+        lambda edges, top: edges + [(i, top) for i in range(top + 1)],
     ], ids=["last cover dropped", "edge to the full carrier"])
     def test_oracle_catches_a_cover_fault_at_cap_scale(self, fault, monkeypatch):
-        """On S_10 (1,024 cuts) the DOT edges of a faulty cover kernel
-        differ from the oracle's."""
+        """On S_10 (1,024 cuts) the DOT edges of a faulty cover kernel,
+        which drops each cut's last upper cover or adds an edge from every
+        cut to the full carrier, differ from the oracle's."""
         completion = macneille_completion(COVER_CASES["S10"])
-        real = completion_module._upper_covers
-        monkeypatch.setattr(completion_module, "_upper_covers",
-                            lambda poset, mask: fault(poset, real(poset, mask)))
+        real = completion_module._cover_edges
+        top = completion.cut_count - 1
+        monkeypatch.setattr(completion_module, "_cover_edges",
+                            lambda completion: fault(list(real(completion)), top))
         assert _dot_edges(to_dot(completion)) != sorted(brute_covers(completion))
+
+    def test_cover_kernel_computes_no_closure(self, monkeypatch):
+        """On S_10 the cover edges read one extent per cut and take every
+        closure from them: k upper-bound calls, no lower bound or closure."""
+        completion = macneille_completion(COVER_CASES["S10"])
+        calls = {name: 0 for name in ("_upper_mask", "_lower_mask", "_closure_mask")}
+
+        def counted(name, kernel):
+            def wrapper(*args):
+                calls[name] += 1
+                return kernel(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(completion_module, name,
+                                counted(name, getattr(completion_module, name)))
+        assert len(list(_cover_edges(completion))) == 5120
+        assert calls == {"_upper_mask": 1024, "_lower_mask": 0, "_closure_mask": 0}
 
     @pytest.mark.parametrize("poset, edges", [
         (generate(GeneratorSpec("boolean", k=2)), [(0, 1), (0, 2), (1, 3), (2, 3)]),
