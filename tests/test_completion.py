@@ -560,6 +560,12 @@ def _cubic_covers(masks):
     ]
 
 
+def _without_last_covers(edges, top):
+    """Cover edges with the last upper cover of each cut dropped."""
+    last = {i: j for i, j in edges}
+    return [(i, j) for i, j in edges if last[i] != j]
+
+
 class TestDotExport:
     @pytest.mark.parametrize("name", list(COVER_CASES))
     def test_edges_match_brute_covers(self, name):
@@ -579,8 +585,7 @@ class TestDotExport:
             assert brute_covers(completion) == _cubic_covers(completion.cut_masks)
 
     @pytest.mark.parametrize("fault", [
-        lambda edges, top: [e for e, after in zip(edges, edges[1:] + [None]) if after
-                            and after[0] == e[0]],
+        _without_last_covers,
         lambda edges, top: edges + [(i, top) for i in range(top + 1)],
     ], ids=["last cover dropped", "edge to the full carrier"])
     def test_oracle_catches_a_cover_fault_at_cap_scale(self, fault, monkeypatch):
