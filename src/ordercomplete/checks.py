@@ -9,13 +9,14 @@ Each check returns a list of failure strings (empty means pass) so that
 both the `check` command and the test suite can share them.  Subset- and
 family-indexed checks run exhaustively while 2^count <= EXHAUSTIVE_MASKS
 and fall back to seeded deterministic samples of fixed size beyond, so a
-fixed corpus always produces the same verdict.  While every mask is
-scanned, ``check_bound_calculus`` reads each bound kernel once per mask
-into a list indexed by the mask, and its boundedness and least-cut tests
-read two arrays that AND each principal down-set (up-set) into its
-submasks; above that, they read the n principal sets per sampled mask.
-Either way the work does not depend on the cut count k.  The family
-sup and inf, checked against the oracle's bound scan in
+fixed corpus always produces the same verdict.  Every scan is a list of
+masks, ``range(2^count)`` or the sample, read by ``_members``.  While
+every mask is scanned, ``check_bound_calculus`` reads each bound kernel
+once per mask into a list indexed by the mask, and its boundedness and
+least-cut tests read two arrays that AND each principal down-set
+(up-set) into its submasks; above that, they read the n principal sets
+per sampled mask.  Either way the work does not depend on the cut count
+k.  The family sup and inf, checked against the oracle's bound scan in
 ``check_completion``, see at most 2 + 2 * BOUND_SCAN_SAMPLE families, so
 that work peaks at the threshold: at k = 12 cuts the oracle's one pass
 over the k cuts runs on all 2^k families, and above it the work of
@@ -35,7 +36,7 @@ import random
 from functools import cache, partial, reduce
 from itertools import product
 from operator import and_
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .completion import (
     CompletedPoset,
@@ -59,34 +60,33 @@ FAMILY_SAMPLE = 256
 BOUND_SCAN_SAMPLE = 64  # cut families for the oracle's bound scan
 
 
-def _iter_index_families(count: int, seed: int, sample_budget: int) -> Iterable[tuple[int, ...]]:
-    """All index subsets when 2^count fits EXHAUSTIVE_MASKS, a fixed sample otherwise.
+def _index_masks(count: int, seed: int, sample_budget: int) -> Sequence[int]:
+    """All index subsets, as masks, when 2^count fits EXHAUSTIVE_MASKS, a fixed sample otherwise.
 
     The sample holds the empty family, the full family, every singleton
     while ``count <= sample_budget`` (else a seeded ``sample_budget`` of
     them), then ``sample_budget`` seeded random families: at most
-    2 + 2 * sample_budget families, whatever the count.
+    2 + 2 * sample_budget masks, whatever the count.
     """
-    if 1 << count <= EXHAUSTIVE_MASKS:  # family m lists the set bits of m, ascending
-        yield from _subset_tuples(range(count))
-        return
-    yield ()
-    yield tuple(range(count))
+    if 1 << count <= EXHAUSTIVE_MASKS:
+        return range(1 << count)
     rng = random.Random(seed)
     singles = range(count)
     if count > sample_budget:
         singles = sorted(rng.sample(singles, sample_budget))
-    for i in singles:
-        yield (i,)
+    masks = [0, (1 << count) - 1] + [1 << i for i in singles]
     for _ in range(sample_budget):
         size = rng.randint(1, count)
-        yield tuple(sorted(rng.sample(range(count), size)))
+        masks.append(sum(1 << i for i in rng.sample(range(count), size)))
+    return masks
 
 
-def _subset_tuples(items: Iterable) -> list[tuple]:
-    """Entry m holds the items at the set bits of m, in order, for every m
-    below 2^len(items): the entries holding an item are those before it,
-    each with the item added, so each item doubles the list."""
+def _members(items: Sequence, masks: Sequence[int]) -> Iterable[Sequence]:
+    """The items at the set bits of each mask, in order.  On the whole cube
+    ``range(2^len(items))`` (a sample is always shorter) the entries holding
+    an item are those before it with the item added: each item doubles the list."""
+    if len(masks) != 1 << len(items):
+        return ([items[i] for i in _mask_members(m)] for m in masks)
     out: list[tuple] = [()]
     for item in items:
         out += [entry + (item,) for entry in out]
@@ -94,7 +94,7 @@ def _subset_tuples(items: Iterable) -> list[tuple]:
 
 
 def _family_count(count: int, sample_budget: int) -> int:
-    """How many families ``_iter_index_families`` yields."""
+    """How many masks ``_index_masks`` returns, without drawing the sample."""
     if 1 << count <= EXHAUSTIVE_MASKS:
         return 1 << count
     return 2 + min(count, sample_budget) + sample_budget
@@ -175,7 +175,7 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     full = poset.full_mask
     down, up = poset.down_masks, poset.up_masks
     masks = _sampled_masks(poset)
-    exhaustive = 1 << n <= EXHAUSTIVE_MASKS
+    exhaustive = len(masks) == 1 << n
     if exhaustive:
         U = [_upper_mask(poset, m) for m in masks]
         L = [_lower_mask(poset, m) for m in masks]
@@ -273,13 +273,8 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     if exhaustive and set(UL) != cut_set:
         fails.append(f"{name}: closures of all subsets do not give all cuts")
 
-    # closure equals the sup of embedded members, as a tuple of down-sets in
-    # element order; when every mask is scanned, the tuple of mask m is entry m
-    if exhaustive:
-        members: Iterable[Iterable[int]] = _subset_tuples(down)
-    else:
-        members = ([down[x] for x in _mask_members(m)] for m in masks)
-    for m, ul, family in zip(masks, UL, members):
+    # closure equals the sup of embedded members, the down-sets in element order
+    for m, ul, family in zip(masks, UL, _members(down, masks)):
         if ul != _join(poset, family):
             fails.append(f"{name}: closure is not the sup of embedded members on {m:#x}")
             break
@@ -306,18 +301,13 @@ def check_completion(name: str, completion: CompletedPoset) -> list[str]:
         fails.append(f"{name}: embedding check failed: {report.failures[:2]}")
     fails.extend(_bound_keeping_failures(name, poset))
 
-    masks = completion.cut_masks
-    indexed = _iter_index_families(len(masks), 0, BOUND_SCAN_SAMPLE)
-    if 1 << len(masks) <= EXHAUSTIVE_MASKS:  # family m is the mask m
-        families: Iterable[tuple[Any, Any]] = zip(indexed, _subset_tuples(masks))
-    else:
-        families = ((indices, [masks[i] for i in indices]) for indices in indexed)
-    for indices, family in families:
+    masks = _index_masks(completion.cut_count, 0, BOUND_SCAN_SAMPLE)
+    for mask, family in zip(masks, _members(completion.cut_masks, masks)):
         if _join(poset, family) != brute_bound(completion, family, "sup"):
-            fails.append(f"{name}: sup disagrees with the bound scan on {indices}")
+            fails.append(f"{name}: sup disagrees with the bound scan on {_mask_members(mask)}")
             break
         if _meet(poset, family) != brute_bound(completion, family, "inf"):
-            fails.append(f"{name}: inf disagrees with the bound scan on {indices}")
+            fails.append(f"{name}: inf disagrees with the bound scan on {_mask_members(mask)}")
             break
     return fails
 
@@ -327,14 +317,8 @@ def _bound_keeping_failures(name: str, poset: Poset) -> list[str]:
     the table kernel off the principal sets that ``verify_macneille`` checks."""
     fails = []
     principal = poset.down_masks
-    if 1 << poset.arity <= EXHAUSTIVE_MASKS:  # family m is the mask m
-        families: Iterable[tuple[int, Any]] = enumerate(_subset_tuples(principal))
-    else:
-        families = (
-            (sum(1 << i for i in indices), [principal[i] for i in indices])
-            for indices in _iter_index_families(poset.arity, 1, FAMILY_SAMPLE)
-        )
-    for mask, members in families:
+    masks = _index_masks(poset.arity, 1, FAMILY_SAMPLE)
+    for mask, members in zip(masks, _members(principal, masks)):
         upper, lower = _upper_mask(poset, mask), _lower_mask(poset, mask)
         if (upper | lower) & ~poset.full_mask:
             fails.append(f"{name}: bounds of {cut_label(poset, mask)} leave the carrier")

@@ -242,7 +242,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a broken invariant is a failed run, not bad input
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidCut, ResourceCap
+from .errors import InvalidCut, OrderCompletionError, ResourceCap
 from .poset import (
     Poset,
     Subset,
@@ -154,7 +154,10 @@ class CompletedPoset(_Record):
     @cached_property
     def embedding(self) -> tuple[int, ...]:
         """``embedding[i]`` is the index of the principal cut of element i."""
-        return tuple(map(self._mask_index.__getitem__, self.parent.down_masks))
+        try:
+            return tuple(map(self._mask_index.__getitem__, self.parent.down_masks))
+        except KeyError:
+            raise OrderCompletionError("a principal cut is not listed; this is a bug") from None
 
     @property
     def empty_set_is_cut(self) -> bool:
@@ -280,16 +283,19 @@ def _cover_edges(completion: CompletedPoset) -> Iterator[tuple[int, int]]:
     extents = [_upper_mask(poset, mask) for mask in masks]
     by_extent = {extent: j for j, extent in enumerate(extents)}
     bits = [(1 << x, up) for x, up in enumerate(poset.up_masks)]
-    for i, (mask, extent) in enumerate(zip(masks, extents)):
-        minimal = poset.full_mask & ~mask
-        for bit, up in bits:
-            if bit & mask:
-                continue
-            j = by_extent[extent & up]
-            if minimal & masks[j] & ~mask & ~bit:
-                minimal &= ~bit
-            else:
-                yield i, j
+    try:  # around the loop, so the cover kernel pays nothing for the guard
+        for i, (mask, extent) in enumerate(zip(masks, extents)):
+            minimal = poset.full_mask & ~mask
+            for bit, up in bits:
+                if bit & mask:
+                    continue
+                j = by_extent[extent & up]
+                if minimal & masks[j] & ~mask & ~bit:
+                    minimal &= ~bit
+                else:
+                    yield i, j
+    except KeyError:
+        raise OrderCompletionError("a closure is not a listed cut; this is a bug") from None
 
 
 def _first_decrease(

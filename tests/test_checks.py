@@ -2,7 +2,7 @@
 scan catches a wrong bound; and that the equation check catches a class
 map that is not an order isomorphic embedding.
 
-The coverage digest pins every family ``_iter_index_families`` yields at
+The coverage digest pins every family ``_index_masks`` returns at
 the call sites of the suites, and the element masks ``_sampled_masks``
 picks on the check corpus and on the golden ``check --input`` posets.  A
 change to the sampling that moves any of them fails here, so a faster
@@ -15,13 +15,13 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
-from ordercomplete import checks, cli
+from ordercomplete import checks, cli, mapext, solver
 from ordercomplete.completion import _closure_mask, _trusted, macneille_completion
 from ordercomplete.generators import GeneratorSpec, generate, random_equation
 from ordercomplete.jsonio import poset_from_data
 from ordercomplete.mapext import PosetMap
-from ordercomplete.poset import CarrierSet
-from ordercomplete.solver import EquationInstance
+from ordercomplete.poset import CarrierSet, _mask_members
+from ordercomplete.solver import EquationInstance, GlobalReport
 
 from conftest import posets
 from test_golden import _family, _standard, _write, check_inputs
@@ -37,7 +37,8 @@ def _coverage_digest():
 
     for seed, budget in ((0, checks.BOUND_SCAN_SAMPLE), (1, checks.FAMILY_SAMPLE)):
         for count in range(65):
-            add(seed, budget, count, list(checks._iter_index_families(count, seed, budget)))
+            families = [_mask_members(m) for m in checks._index_masks(count, seed, budget)]
+            add(seed, budget, count, families)
     for name, completion in checks.corpus_posets(200):
         add(name, checks._sampled_masks(completion.parent))
     for name, data, suites in check_inputs():
@@ -54,8 +55,8 @@ def test_family_count_is_what_the_scan_yields():
     """The count the ``check macneille`` summary line reports."""
     for budget in (checks.BOUND_SCAN_SAMPLE, checks.FAMILY_SAMPLE):
         for count in range(70):
-            families = list(checks._iter_index_families(count, 0, budget))
-            assert checks._family_count(count, budget) == len(families)
+            masks = checks._index_masks(count, 0, budget)
+            assert checks._family_count(count, budget) == len(masks)
 
 
 def test_bound_scan_work_is_bounded_by_its_sample(monkeypatch):
@@ -515,4 +516,80 @@ def test_bound_chain_check_names_a_closure_fault_instead_of_raising(monkeypatch,
     assert out[1] == (
         "  counterexample: boundchain(seed=0): an image was rejected as a cut: "
         "{t0,t1} is not closed under the upper-lower bound operators"
+    )
+
+
+def _drop_second_cut(monkeypatch):
+    """Enumeration loses the second cut, an atom of the cut lattice, of every
+    completion with more than three cuts, in the checks and in the solver."""
+    def faulty(poset, **caps):
+        completion = macneille_completion(poset, **caps)
+        if completion.cut_count <= 3:
+            return completion
+        masks = completion.cut_masks[:1] + completion.cut_masks[2:]
+        return _trusted(type(completion), parent=poset, cut_masks=masks)
+
+    monkeypatch.setattr(checks, "macneille_completion", faulty)
+    monkeypatch.setattr(solver, "macneille_completion", faulty)
+
+
+@pytest.mark.parametrize("suite", ["theorem41", "theorem42", "boundchain"])
+def test_a_dropped_cut_is_an_internal_error_not_a_traceback(suite, monkeypatch, capsys):
+    """A principal cut missing from the list (the embedding) or a closure
+    missing from it (the Hasse covers) is one ``error: internal:`` line and
+    exit 1, not a ``KeyError``."""
+    _drop_second_cut(monkeypatch)
+    assert cli.main(["check", suite]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: internal:")
+
+
+def test_macneille_names_a_dropped_cut(monkeypatch, capsys):
+    _drop_second_cut(monkeypatch)
+    assert cli.main(["check", "macneille", "--count", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  counterexample: chain(4): enumerated cuts differ from the exhaustive scan" in out
+
+
+def _gridfn_identity():
+    instance = generate(GeneratorSpec("gridfn", g=2, v=2))
+    assert instance.codomain_completion.cut_masks == instance.images == (0b1, 0b11, 0b101, 0b1111)
+    return instance
+
+
+def test_global_check_names_an_image_that_is_no_cut():
+    """Four distinct images, one of them ({01} for the principal cut of 00)
+    no cut: the image counts as the whole completion but misses an embedded
+    element, and it is no order isomorphism."""
+    instance = _gridfn_identity()
+    vars(instance)["images"] = (0b10,) + instance.images[1:]
+    assert checks.check_global("g", instance) == [
+        "g: embedded-coverage and whole-completion flags disagree",
+        "g: surjective extension is not an order isomorphism",
+    ]
+
+
+def test_global_check_names_a_report_whose_image_size_is_off(monkeypatch):
+    real = checks.global_character
+
+    def faulty(instance):
+        report = real(instance)
+        return GlobalReport(**{**report._asdict(), "image_size": report.image_size - 1})
+
+    monkeypatch.setattr(checks, "global_character", faulty)
+    assert checks.check_global("g", _gridfn_identity()) == [
+        "g: image claimed whole but sizes differ",
+    ]
+
+
+def test_bound_chain_check_names_a_broken_chain(monkeypatch, capsys):
+    """An empty sup of the images, from a faulty join, lies below their inf."""
+    monkeypatch.setattr(mapext, "_join", lambda poset, masks: 0)
+    assert cli.main(["check", "boundchain", "--count", "3"]) == 1
+    assert capsys.readouterr() == (
+        "FAIL bound chain on 3 increasing maps\n"
+        "  counterexample: boundchain(seed=2): chain broke: "
+        "{t1} / {t1} / {} / {t0,t1,t2,t3}\n",
+        "",
     )
