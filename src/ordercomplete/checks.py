@@ -35,24 +35,17 @@ from __future__ import annotations
 import random
 from functools import cache, partial, reduce
 from itertools import product
-from operator import and_
+from operator import add, and_
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .completion import (
-    CompletedPoset,
-    _lower_mask,
-    _upper_mask,
-    cut_label,
-    macneille_completion,
-    verify_macneille,
-)
+from .completion import CompletedPoset, cut_label, macneille_completion, verify_macneille
 from .errors import InvalidCut, NotIncreasing
 from .generators import GeneratorSpec, _random_pairs, generate, random_equation
 from .mapext import PosetMap, check_bound_chain, extension_cut_map, is_increasing, is_oie
 from .oracle import _brute_image_table, brute_bound, brute_cuts, brute_lower, brute_solve
 from .oracle import brute_upper
-from .poset import Poset, _join, _mask_members, _meet, build_poset
-from .poset import maximum_index, minimum_index
+from .poset import Poset, _doubled, _join, _lower_mask, _mask_members, _meet, _upper_mask
+from .poset import build_poset, maximum_index, minimum_index
 from .solver import EquationInstance, _criterion, global_character
 
 EXHAUSTIVE_MASKS = 4096  # all subsets when 2^count fits
@@ -83,14 +76,11 @@ def _index_masks(count: int, seed: int, sample_budget: int) -> Sequence[int]:
 
 def _members(items: Sequence, masks: Sequence[int]) -> Iterable[Sequence]:
     """The items at the set bits of each mask, in order.  On the whole cube
-    ``range(2^len(items))`` (a sample is always shorter) the entries holding
-    an item are those before it with the item added: each item doubles the list."""
+    ``range(2^len(items))`` (a sample is always shorter) each item doubles
+    the list, by the doubling step of the poset tables."""
     if len(masks) != 1 << len(items):
         return ([items[i] for i in _mask_members(m)] for m in masks)
-    out: list[tuple] = [()]
-    for item in items:
-        out += [entry + (item,) for entry in out]
-    return out
+    return _doubled([(item,) for item in items], (), add)
 
 
 def _family_count(count: int, sample_budget: int) -> int:

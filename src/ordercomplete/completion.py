@@ -42,18 +42,12 @@ from .poset import (
     _meet,
     _require_same_parent,
     _setattr,
+    _trusted,
     _upper_mask,
     has_maximum,
 )
 
 DEFAULT_MAX_CUTS = 4096
-
-
-def _trusted(cls, **fields):
-    """A record built without ``__post_init__``, valid by its builder's algorithm."""
-    value = object.__new__(cls)
-    value.__dict__.update(fields)
-    return value
 
 
 def cut_label(poset: Poset, mask: int) -> str:

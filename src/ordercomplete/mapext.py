@@ -9,7 +9,9 @@ inclusion; when f is increasing it commutes with the element embeddings
 on principal cuts, and when f is an order isomorphic embedding (OIE)
 its restriction to the cuts of X is again an OIE.  `check boundchain`
 (``checks.check_bound_chain_instance``) checks these three laws on
-seeded maps.  An image costs one lookup per 8 source elements plus one closure.
+seeded maps.  A map keeps only its image tables, the rows of (f(A))^u,
+which ``poset`` builds and reads like its own: an image costs one lookup
+per 8 source elements plus one closure.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .completion import (
     CompletedPoset,
     Cut,
     _first_decrease,
-    _trusted,
     cut_label,
     inf_cuts,
     sup_cuts,
@@ -34,7 +35,8 @@ from .errors import (
     SourceNotOrdered,
     UnknownElement,
 )
-from .poset import Parent, Poset, Subset, _Record, _join, _lower_mask, _meet, _row_tables, _setattr
+from .poset import Parent, Poset, Subset, _Record, _join, _lower_mask, _meet, _row_tables
+from .poset import _setattr, _table_and, _trusted
 
 
 class PosetMap(_Record):
@@ -79,11 +81,7 @@ def extension_mask(phi: PosetMap, mask: int) -> int:
     """Target cut mask the extension sends a source subset mask to: (f(A))^ul."""
     if mask & ~phi.source.full_mask:
         raise UnknownElement("subset mask references elements outside the map's source")
-    upper = phi.target.full_mask
-    for table in phi._image_up_tables:
-        upper &= table[mask & 255]
-        mask >>= 8
-    return _lower_mask(phi.target, upper)
+    return _lower_mask(phi.target, _table_and(phi._image_up_tables, phi.target.full_mask, mask))
 
 
 def _pulled_back_order(target: Poset, assignment: Sequence[int]) -> tuple[int, ...]:

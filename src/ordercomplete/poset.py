@@ -15,8 +15,11 @@ elements, the intersections of the rows picked by each byte value,
 so A^u and A^l cost one lookup per chunk: at most three at the default
 arity cap of 20.  The same kernel holds the two lattice operations on
 cuts: ``_join`` (the closure of the union) and ``_meet`` (the plain
-intersection).  Tables built the same way name a mask's members; in
-``mapext`` an image costs one lookup per 8 source elements plus one closure.
+intersection).  This module alone lays out the tables: ``_doubled`` is
+the one doubling step that builds them (and the member lists of a whole
+cube in ``checks``), ``_table_and`` the one lookup that ANDs one entry
+per chunk (also for the image tables of ``mapext``), and ``_mask_labels``
+the one reader of a mask's labels off the label tables.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -42,17 +45,28 @@ DEFAULT_MAX_ARITY = 20
 _setattr = object.__setattr__
 
 
+def _doubled(rows: Sequence, start, combine) -> list:
+    """``out[b]`` is ``start`` combined, in order, with the rows i for the
+    set bits i of b.  Each row doubles the list: the new upper half is the
+    old list combined with that row."""
+    out = [start]
+    for row in rows:
+        out += [combine(entry, row) for entry in out]
+    return out
+
+
 def _row_tables(rows: Sequence, start, combine) -> tuple[tuple, ...]:
-    """Per-byte tables: ``tables[c][b]`` is ``start`` combined, in order,
-    with the rows ``8c + i`` for the set bits i of b.  Each row doubles its
-    table: the new upper half is the old table combined with that row."""
-    tables = []
-    for first in range(0, len(rows), 8):
-        table = [start]
-        for row in rows[first : first + 8]:
-            table += [combine(entry, row) for entry in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    """Per-byte tables: ``tables[c]`` is ``_doubled`` on the rows ``8c`` to ``8c + 7``."""
+    return tuple(tuple(_doubled(rows[first : first + 8], start, combine))
+                 for first in range(0, len(rows), 8))
+
+
+def _table_and(tables: tuple[tuple[int, ...], ...], out: int, mask: int) -> int:
+    """``out`` ANDed with one entry per chunk of 8 bits of the mask."""
+    for table in tables:
+        out &= table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def _mask_labels(tables: tuple[tuple[tuple[str, ...], ...], ...], mask: int) -> tuple[str, ...]:
@@ -73,13 +87,20 @@ def _mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _trusted(cls, **fields):
+    """A record built without ``__post_init__``, valid by its builder's algorithm."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 class _Record:
     """Base of the package's immutable value types.
 
     The fields are the annotated names of the class and its bases, base
     fields first; a class attribute of a field's name is its default.
     A record equals only records of its own class with equal fields.
-    ``cached_property`` and ``completion._trusted`` write ``__dict__``.
+    ``cached_property`` and ``_trusted`` write ``__dict__``.
     """
 
     def __init_subclass__(cls) -> None:
@@ -251,8 +272,7 @@ class Subset(_Record):
             raise UnknownElement("subset mask references elements outside its parent")
 
     def names(self) -> tuple[str, ...]:
-        labels = self.parent.labels
-        return tuple(labels[i] for i in _mask_members(self.mask))
+        return _mask_labels(self.parent._label_tables, self.mask)
 
 
 def _require_same_parent(parent: Parent, subset: Subset) -> None:
@@ -311,20 +331,12 @@ def build_poset(
 
 def _upper_mask(poset: Poset, mask: int) -> int:
     """A^u of a mask: one table lookup per chunk of 8 elements."""
-    out = poset.full_mask
-    for table in poset._up_tables:
-        out &= table[mask & 255]
-        mask >>= 8
-    return out
+    return _table_and(poset._up_tables, poset.full_mask, mask)
 
 
 def _lower_mask(poset: Poset, mask: int) -> int:
     """A^l of a mask: one table lookup per chunk of 8 elements."""
-    out = poset.full_mask
-    for table in poset._down_tables:
-        out &= table[mask & 255]
-        mask >>= 8
-    return out
+    return _table_and(poset._down_tables, poset.full_mask, mask)
 
 
 def _closure_mask(poset: Poset, mask: int) -> int:

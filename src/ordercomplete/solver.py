@@ -30,7 +30,6 @@ from .completion import (
     Cut,
     DEFAULT_MAX_CUTS,
     _first_decrease,
-    _trusted,
     is_cut,
     macneille_completion,
 )
@@ -43,6 +42,7 @@ from .poset import (
     _Record,
     _join,
     _meet,
+    _trusted,
     has_maximum,
     has_minimum,
 )
@@ -253,10 +253,10 @@ def global_character(instance: EquationInstance) -> GlobalReport:
 
     order_iso: bool | None = None
     if image_is_all:
-        # a bijection is an order isomorphism when it and its inverse are
-        # increasing, and both orders are the transitive closures of
-        # their covers
-        order_iso = len(instance.images) == cc.cut_count
+        # a bijection onto the cuts is an order isomorphism when it and its
+        # inverse are increasing, and both orders are the transitive
+        # closures of their covers
+        order_iso = len(instance.images) == cc.cut_count and image_set == set(cc.cut_masks)
         if order_iso:
             inverse = dict(zip(instance.images, qc.cut_masks))
             order_iso = (

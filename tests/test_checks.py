@@ -1,6 +1,8 @@
 """The poset check suites: what they scan, how much, and that the family
-scan catches a wrong bound; and that the equation check catches a class
-map that is not an order isomorphic embedding.
+scan catches a wrong bound; that the equation check catches a class
+map that is not an order isomorphic embedding; and that every failure
+line of the checks, and every broken invariant of the solver and the
+oracle, fires on one injected fault.
 
 The coverage digest pins every family ``_index_masks`` returns at
 the call sites of the suites, and the element masks ``_sampled_masks``
@@ -15,7 +17,7 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
-from ordercomplete import checks, cli, mapext, solver
+from ordercomplete import checks, cli, mapext, oracle, solver
 from ordercomplete.completion import _closure_mask, _trusted, macneille_completion
 from ordercomplete.generators import GeneratorSpec, generate, random_equation
 from ordercomplete.jsonio import poset_from_data
@@ -593,3 +595,176 @@ def test_bound_chain_check_names_a_broken_chain(monkeypatch, capsys):
         "{t1} / {t1} / {} / {t0,t1,t2,t3}\n",
         "",
     )
+
+
+def test_global_check_names_an_image_off_the_cuts_that_keeps_inclusion(monkeypatch, tmp_path,
+                                                                       capsys):
+    """Four distinct images that keep inclusion, the top's image {00,01,10}
+    no cut: ``global_character`` builds no inverse off the cuts, so
+    check theorem42 prints both failure lines and exits 1, no ``KeyError``."""
+    def top_off_the_cuts(instance):
+        vars(instance)["images"] = instance.images[:3] + (0b111,)
+        return instance
+
+    assert checks.check_global("g", top_off_the_cuts(_gridfn_identity())) == [
+        "g: embedded-coverage and whole-completion flags disagree",
+        "g: surjective extension is not an order isomorphism",
+    ]
+    real = checks.global_character
+    monkeypatch.setattr(checks, "global_character",
+                        lambda instance: real(top_off_the_cuts(instance)))
+    path = tmp_path / "gridfn.json"
+    gen = ["gen", "--family", "gridfn", "--g", "2", "--v", "2", "--output", str(path)]
+    assert cli.main(gen) == 0
+    assert cli.main(["check", "theorem42", "--input", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "FAIL global characterization on 1 instances\n"
+        "  counterexample: input: embedded-coverage and whole-completion flags disagree\n"
+        "  counterexample: input: surjective extension is not an order isomorphism\n",
+        "",
+    )
+
+
+# ------------------------------------------- one fault for each failure line
+
+
+CHAIN3 = ("c0", "c1", "c2")  # the labels of chain(3)
+
+
+def _cut_list_fault(labels, change):
+    """``checks.macneille_completion`` lists ``change(cut masks)`` for the
+    poset of these labels."""
+    def install(monkeypatch):
+        real = checks.macneille_completion
+
+        def faulty(poset, **caps):
+            completion = real(poset, **caps)
+            if poset.labels != labels:
+                return completion
+            return _trusted(type(completion), parent=poset, cut_masks=change(completion.cut_masks))
+
+        monkeypatch.setattr(checks, "macneille_completion", faulty)
+    return install
+
+
+def _embedding_fault(monkeypatch):
+    """The kernel of ``verify_macneille`` gives the principal down-set of c0
+    in chain(3) a wrong upper bound set."""
+    real = checks._upper_mask
+
+    def faulty(poset, mask):
+        out = real(poset, mask)
+        return out ^ 1 if poset.labels == CHAIN3 and mask == 0b1 else out
+
+    monkeypatch.setattr("ordercomplete.completion._upper_mask", faulty)
+
+
+def _criterion_fault(positions, value):
+    """``checks._criterion`` returns ``value`` at these positions of its
+    output on the target {y0,y1} of equation(seed=0), whose quotient cuts
+    have the images {y0}, {y0,y1} and the full codomain."""
+    def install(monkeypatch):
+        real = checks._criterion
+
+        def faulty(instance, f_mask):
+            out = list(real(instance, f_mask))
+            if f_mask == 0b11:
+                for i in positions:
+                    out[i] = value
+            return tuple(out)
+
+        monkeypatch.setattr(checks, "_criterion", faulty)
+    return install
+
+
+def _wrong_images(monkeypatch):
+    """The extension flips bit 0 of every quotient cut's image."""
+    real = solver.extension_cut_map
+    monkeypatch.setattr(solver, "extension_cut_map",
+                        lambda phi, completion: tuple(m ^ 1 for m in real(phi, completion)))
+
+
+def _wrong_quotient_meet(monkeypatch):
+    """Inf of quotient cuts (labeled x0, ...; codomain elements y0, ...) flips bit 0."""
+    real = solver._meet
+
+    def faulty(poset, masks):
+        out = real(poset, masks)
+        return out ^ 1 if poset.labels[0] == "x0" else out
+
+    monkeypatch.setattr(solver, "_meet", faulty)
+
+
+def _one_oracle_image(monkeypatch):
+    """The oracle's image table sends every quotient cut to the first one's image."""
+    real = oracle._brute_image_table
+
+    def faulty(instance):
+        table = real(instance)
+        return tuple((mask, table[0][1]) for mask, _ in table)
+
+    monkeypatch.setattr(oracle, "_brute_image_table", faulty)
+
+
+def _chain3_bound_calculus():
+    completion = checks.macneille_completion(generate(GeneratorSpec("chain", n=3)))
+    return checks.check_bound_calculus("chain(3)", completion)
+
+
+def _chain3_completion():
+    completion = macneille_completion(generate(GeneratorSpec("chain", n=3)))
+    return checks.check_completion("chain(3)", completion)
+
+
+def _equation0():
+    return checks.check_equation("equation(seed=0)", random_equation(0))
+
+
+def _theorem41_exit():
+    return [f"exit {cli.main(['check', 'theorem41', '--count', '1'])}"]
+
+
+@pytest.mark.parametrize("fault, run, expected", [
+    pytest.param(_cut_list_fault(CHAIN3, lambda masks: masks + (0b10,)), _chain3_bound_calculus,
+                 ["chain(3): closures of all subsets do not give all cuts"], id="extra-cut"),
+    pytest.param(_embedding_fault, _chain3_completion,
+                 ["chain(3): embedding check failed: "
+                  "(\"principal sets of 'c0' are not mutual bounds\",)"], id="embedding"),
+    pytest.param(_cut_list_fault(("a0", "a1", "a2"), lambda masks: masks[:-1]),
+                 checks.check_closed_forms, ["antichain(3): expected 5 cuts, got 4"],
+                 id="antichain-count"),
+    pytest.param(_cut_list_fault(CHAIN3, lambda masks: masks[:-1]), checks.check_closed_forms,
+                 ["chain(3): expected 3 cuts, got 2"], id="lattice-count"),
+    pytest.param(_embedding_fault, checks.check_closed_forms,
+                 ["chain(3): embedding is not an order isomorphism"], id="lattice-embedding"),
+    # a sup of the images past the target is past the image of the solution too
+    pytest.param(_criterion_fault([2], 0b11111), _equation0,
+                 ["equation(seed=0): sup of images escapes {y0,y1}",
+                  "equation(seed=0): inclusion chain broke at the lower end"], id="sup-escapes"),
+    pytest.param(_criterion_fault([3], 0), _equation0,
+                 ["equation(seed=0): {y0,y1} escapes inf of images",
+                  "equation(seed=0): inclusion chain broke at the upper end"], id="inf-escaped"),
+    pytest.param(_criterion_fault([4], []), _equation0,
+                 ["equation(seed=0): inclusion chain broke at the lower end"], id="lower-end"),
+    pytest.param(_criterion_fault([4, 5], [0, 1, 2]), _equation0,
+                 ["equation(seed=0): inclusion chain broke in the middle"], id="middle"),
+    pytest.param(_criterion_fault([5], []), _equation0,
+                 ["equation(seed=0): inclusion chain broke at the upper end"], id="upper-end"),
+    pytest.param(_wrong_images, _theorem41_exit,
+                 ["exit 1", "error: internal: extension broke on a principal cut; this is a bug"],
+                 id="principal-image"),
+    pytest.param(_wrong_quotient_meet, _theorem41_exit,
+                 ["exit 1", "error: internal: sup of the lower family differs from inf of "
+                  "the upper family; this is a bug"], id="lower-upper-family"),
+    pytest.param(_one_oracle_image, _theorem41_exit,
+                 ["exit 1", "error: internal: 3 distinct cuts map onto the same target"],
+                 id="multiple-solutions"),
+])
+def test_every_failure_line_fires(fault, run, expected, monkeypatch, capsys):
+    """Each failure line of the checks, and each broken invariant the solver
+    and the oracle raise, fires on one injected fault: the failures the
+    check returns, or the exit code and the one ``error: internal:`` line."""
+    fault(monkeypatch)
+    lines = run()
+    out, err = capsys.readouterr()
+    assert lines + (out + err).splitlines() == expected

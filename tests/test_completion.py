@@ -145,9 +145,18 @@ class TestEnumeration:
         assert c.cut_labels() == ("{}", "{a0}", "{a1}", "{a0,a1}")
 
     def test_cut_labels_over_three_bytes_of_elements(self):
+        """``Subset.names`` and ``cut_label`` read the same label tables; both
+        list the members at the set bits, in element order, in all three
+        chunks: every cut of S_10 and seeded masks of a 20-label carrier."""
         c = macneille_completion(standard(10))  # 20 elements
         names = tuple("{" + ",".join(cut.names()) + "}" for cut in c.cuts)
         assert c.cut_labels() == names
+        carrier = CarrierSet(tuple(f"e{i}" for i in range(20)))
+        rng = random.Random(0)
+        subsets = list(c.cuts) + [Subset(carrier, rng.getrandbits(20)) for _ in range(500)]
+        for subset in subsets:
+            labels = subset.parent.labels
+            assert subset.names() == tuple(labels[i] for i in range(20) if subset.mask >> i & 1)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_antichain_counts(self, n):
