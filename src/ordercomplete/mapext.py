@@ -3,7 +3,8 @@
 Any map f : X -> Y extends to the whole power set of X by sending
 A to (f(A))^ul, a cut of the target, held as a target cut mask:
 ``extension_mask`` for one subset, ``extension_cut_map`` for every cut
-of a source completion, the form ``check_bound_chain`` takes.  Nothing
+of a source completion, the form ``check_bound_chain`` takes;
+``_preimage_mask`` goes back, from a target subset to f^-1 of it.  Nothing
 here completes the target.  The extension is always monotone for
 inclusion; when f is increasing it commutes with the element embeddings
 on principal cuts, and when f is an order isomorphic embedding (OIE)
@@ -82,6 +83,11 @@ def extension_mask(phi: PosetMap, mask: int) -> int:
     if mask & ~phi.source.full_mask:
         raise UnknownElement("subset mask references elements outside the map's source")
     return _lower_mask(phi.target, _table_and(phi._image_up_tables, phi.target.full_mask, mask))
+
+
+def _preimage_mask(phi: PosetMap, mask: int) -> int:
+    """Source mask of f^-1(B) for a target subset mask B."""
+    return sum(1 << i for i, image in enumerate(phi.assignment) if mask >> image & 1)
 
 
 def _pulled_back_order(target: Poset, assignment: Sequence[int]) -> tuple[int, ...]:

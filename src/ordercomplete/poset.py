@@ -18,8 +18,9 @@ cuts: ``_join`` (the closure of the union) and ``_meet`` (the plain
 intersection).  This module alone lays out the tables: ``_doubled`` is
 the one doubling step that builds them (and the member lists of a whole
 cube in ``checks``), ``_table_and`` the one lookup that ANDs one entry
-per chunk (also for the image tables of ``mapext``), and ``_mask_labels``
-the one reader of a mask's labels off the label tables.
+per chunk (also for the image tables of ``mapext``), ``_table_and_each``
+the same lookup for a whole list of masks, one list pass per chunk, and
+``_mask_labels`` the one reader of a mask's labels off the label tables.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -67,6 +68,15 @@ def _table_and(tables: tuple[tuple[int, ...], ...], out: int, mask: int) -> int:
         out &= table[mask & 255]
         mask >>= 8
     return out
+
+
+def _table_and_each(tables: tuple[tuple[int, ...], ...], out: int,
+                    masks: Sequence[int]) -> list[int]:
+    """``_table_and`` of every mask, one list pass per chunk of 8 bits."""
+    outs = [out] * len(masks)
+    for shift, table in zip(range(0, 8 * len(tables), 8), tables):
+        outs = [o & table[m >> shift & 255] for o, m in zip(outs, masks)]
+    return outs
 
 
 def _mask_labels(tables: tuple[tuple[tuple[str, ...], ...], ...], mask: int) -> tuple[str, ...]:
@@ -325,7 +335,8 @@ def build_poset(
                         f"cover pairs contain a cycle through "
                         f"{labels[i]!r} and {labels[j]!r}"
                     )
-    # kind="full" rows go to the validating constructor as-is
+        # the closure is reflexive and transitive, and antisymmetric without a cycle
+        return _trusted(Poset, labels=labels, up_masks=tuple(rows))
     return Poset(labels, tuple(rows))
 
 

@@ -10,9 +10,15 @@ and the equation T#(A) = F becomes decidable:
 
 with the unique solution (the extension is injective on cuts) given by
 the sup of the lower family, equal to the inf of the upper family.
-Deciding it needs only the images of the quotient's cuts: their sup is
-the closure of their union and their inf their intersection, so the
-completion of Y is built only for checks that walk all of its cuts.
+Deciding it needs only the pre-image P = t^-1(F) of F under the class
+map t and the upper bounds t(A)^u of the quotient's cuts A.  As F is a
+cut, T#(A) = t(A)^ul lies in F exactly when A lies in P, and holds F
+exactly when t(A)^u lies in F^u.  P is a down-set, so the union of the
+lower family is P: the sup of the images below F is t(P)^ul, the inf of
+the images above F is (the union of their t(A)^u)^l, and the solution is
+cl(P) = P^ul in the quotient.  Neither the image map T# nor the
+completion of Y is built to solve; checks that walk all of their cuts
+build them on first use.
 
 Finite carriers often have minima and maxima, which the general theory
 deliberately excludes; in particular the lower family can be genuinely
@@ -23,7 +29,8 @@ empty-family sup/inf conventions (least cut, full carrier).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .completion import (
     CompletedPoset,
@@ -34,15 +41,18 @@ from .completion import (
     macneille_completion,
 )
 from .errors import InvalidCut, OrderCompletionError, ParentMismatch, UnknownElement
-from .mapext import PosetMap, _pulled_back_order, extension_cut_map
+from .mapext import PosetMap, _preimage_mask, _pulled_back_order, extension_mask
 from .poset import (
     CarrierSet,
     Poset,
     Subset,
     _Record,
-    _join,
+    _closure_mask,
+    _lower_mask,
     _meet,
+    _table_and_each,
     _trusted,
+    _upper_mask,
     has_maximum,
     has_minimum,
 )
@@ -64,9 +74,11 @@ class EquationInstance(_Record):
 
     ``classes`` are the fibers of T in first-appearance order, ``quotient``
     is X_T with each class labeled by its first member, and ``t_approx``
-    the class map into Y.  ``images[i]`` is the codomain cut mask T# sends
-    ``quotient_completion.cut_masks[i]`` to; the codomain completion is
-    built only by the checks that walk every cut of Y, under ``max_cuts``.
+    the class map into Y.  ``_image_uppers[i]`` is t(A)^u for the quotient
+    cut A = ``quotient_completion.cut_masks[i]``, all the solver reads of
+    T#, and ``images[i]`` the codomain cut mask t(A)^ul that T# sends A to.
+    The images and the codomain completion are built only by the checks
+    that walk every cut, the completion under ``max_cuts``.
     """
 
     t: PosetMap
@@ -110,8 +122,15 @@ class EquationInstance(_Record):
         return macneille_completion(self.quotient, max_cuts=self.max_cuts)
 
     @cached_property
+    def _image_uppers(self) -> tuple[int, ...]:
+        return tuple(_table_and_each(self.t_approx._image_up_tables, self.codomain.full_mask,
+                                     self.quotient_completion.cut_masks))
+
+    @cached_property
     def images(self) -> tuple[int, ...]:
-        return extension_cut_map(self.t_approx, self.quotient_completion)
+        codomain = self.codomain
+        return tuple(_table_and_each(codomain._down_tables, codomain.full_mask,
+                                     self._image_uppers))
 
     @cached_property
     def codomain_completion(self) -> CompletedPoset:
@@ -136,16 +155,17 @@ def build_equation(
     t: PosetMap,
     max_cuts: int = DEFAULT_MAX_CUTS,
 ) -> EquationInstance:
-    """The instance of T, with every quotient cut A mapped to its image
-    (T(A))^ul, so a cut cap on the quotient is raised here."""
+    """The instance of T with its quotient completed, so a cut cap on the
+    quotient is raised here; the images are built on first use."""
     if t.source != domain or t.target != codomain:
         raise ParentMismatch("map does not go from the given domain to the codomain")
     instance = EquationInstance(t, max_cuts)
-    embedding = instance.quotient_completion.embedding
+    qc = instance.quotient_completion
+    t_approx = instance.t_approx
 
     # principal cuts must land on principal cuts of the class images
-    for i, image in enumerate(instance.t_approx.assignment):
-        if instance.images[embedding[i]] != codomain.down_masks[image]:
+    for j, image in zip(qc.embedding, t_approx.assignment):
+        if extension_mask(t_approx, qc.cut_masks[j]) != codomain.down_masks[image]:
             raise OrderCompletionError(
                 "extension broke on a principal cut; this is a bug"
             )
@@ -174,26 +194,29 @@ class SolveReport(_Record):
 def _criterion(instance: EquationInstance, f_mask: int) -> tuple:
     """T#(A) = F on masks, for the codomain cut mask F: the verdict, the solution
     mask or None, the sup and inf of the images, and the lower and upper family
-    as quotient cut indices.  Raises OrderCompletionError on a broken invariant."""
+    as quotient cut indices, all read off P = t^-1(F) and the t(A)^u.  Raises
+    OrderCompletionError on a broken invariant."""
     qc = instance.quotient_completion
     order = qc.parent
     codomain = instance.codomain
+    t = instance.t_approx
     qmasks = qc.cut_masks
-    images = instance.images
-    lower = [i for i, image in enumerate(images) if image & ~f_mask == 0]
-    upper = [i for i, image in enumerate(images) if f_mask & ~image == 0]
-    sup_images = _join(codomain, [images[i] for i in lower])
-    inf_images = _meet(codomain, [images[i] for i in upper])
+    uppers = instance._image_uppers
+    pre = _preimage_mask(t, f_mask)
+    f_uppers = _upper_mask(codomain, f_mask)
+    lower = [i for i, mask in enumerate(qmasks) if mask & ~pre == 0]
+    upper = [i for i, up in enumerate(uppers) if up & ~f_uppers == 0]
+    sup_images = extension_mask(t, pre)
+    inf_images = _lower_mask(codomain, reduce(or_, [uppers[i] for i in upper], 0))
     solution = None
     if sup_images == inf_images:
-        solution = _join(order, [qmasks[i] for i in lower])
+        solution = _closure_mask(order, pre)
         if solution != _meet(order, [qmasks[i] for i in upper]):
             raise OrderCompletionError(
                 "sup of the lower family differs from inf of the upper family; "
                 "this is a bug"
             )
-        index = qc._mask_index.get(solution)
-        if index is None or images[index] != f_mask:
+        if solution not in qc._mask_index or extension_mask(t, solution) != f_mask:
             raise OrderCompletionError(
                 "constructed solution does not map onto the target; this is a bug"
             )

@@ -678,10 +678,32 @@ def _criterion_fault(positions, value):
 
 
 def _wrong_images(monkeypatch):
-    """The extension flips bit 0 of every quotient cut's image."""
-    real = solver.extension_cut_map
-    monkeypatch.setattr(solver, "extension_cut_map",
-                        lambda phi, completion: tuple(m ^ 1 for m in real(phi, completion)))
+    """The extension flips bit 0 of every image it sends a quotient subset to."""
+    real = solver.extension_mask
+    monkeypatch.setattr(solver, "extension_mask", lambda phi, mask: real(phi, mask) ^ 1)
+
+
+def _flipped_image_upper(monkeypatch):
+    """Bit 0 of the upper bounds t(A)^u of the second quotient cut flips:
+    {x0,x1} in equation(seed=0), whose image drops from {y0,y1} to {y0}."""
+    real = solver.EquationInstance._image_uppers.func
+
+    def faulty(instance):
+        uppers = real(instance)
+        return uppers[:1] + (uppers[1] ^ 1,) + uppers[2:]
+
+    monkeypatch.setattr(solver.EquationInstance, "_image_uppers", property(faulty))
+
+
+def _short_preimage(monkeypatch):
+    """The pre-image of every target loses its lowest member."""
+    real = solver._preimage_mask
+
+    def faulty(phi, mask):
+        pre = real(phi, mask)
+        return pre & (pre - 1)
+
+    monkeypatch.setattr(solver, "_preimage_mask", faulty)
 
 
 def _wrong_quotient_meet(monkeypatch):
@@ -753,6 +775,17 @@ def _theorem41_exit():
     pytest.param(_wrong_images, _theorem41_exit,
                  ["exit 1", "error: internal: extension broke on a principal cut; this is a bug"],
                  id="principal-image"),
+    pytest.param(_flipped_image_upper, _theorem41_exit,
+                 ["exit 1", "FAIL solvability criterion on 1 instances",
+                  "  counterexample: equation(seed=0): image of {x0,x1} is not the oracle's"],
+                 id="image-upper"),
+    pytest.param(_short_preimage, _theorem41_exit,
+                 ["exit 1", "FAIL solvability criterion on 1 instances",
+                  "  counterexample: equation(seed=0): verdict mismatch on {y0,y1}: "
+                  "criterion=False search=True",
+                  "  counterexample: equation(seed=0): inclusion chain broke at the lower end",
+                  "  counterexample: equation(seed=0): inclusion chain broke at the lower end"],
+                 id="preimage"),
     pytest.param(_wrong_quotient_meet, _theorem41_exit,
                  ["exit 1", "error: internal: sup of the lower family differs from inf of "
                   "the upper family; this is a bug"], id="lower-upper-family"),

@@ -222,6 +222,23 @@ class TestSolve:
         )
         assert result.returncode == 2
 
+    def test_quotient_beyond_cut_cap_exits_3_before_the_target_is_read(self, tmp_path):
+        """The identity on S_4 has a quotient of 16 cuts: under a cap of 8 the
+        bad target is never reached, so the cap's exit 3 wins over exit 2."""
+        codomain = _standard(4)
+        equation = tmp_path / "identity.json"
+        equation.write_text(json.dumps({
+            "domain": {"elements": codomain["elements"]},
+            "codomain": codomain,
+            "map": {x: x for x in codomain["elements"]},
+        }))
+        target = write_target(tmp_path, {"cut": ["b0"]})
+        args = ("solve", "--input", str(equation), "--target", str(target))
+        capped = run(*args, "--max-cuts", "8")
+        assert_one_error_line(capped, 3)
+        assert "cut cap 8" in capped.stderr
+        assert_one_error_line(run(*args), 2)
+
     def test_codomain_beyond_cut_cap_still_solves(self, tmp_path):
         # S_4 has 16 cuts; the three fibers onto a0, a1, a2 form an
         # antichain whose completion has 5, so only the quotient fits

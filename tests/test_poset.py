@@ -12,7 +12,7 @@ from ordercomplete.errors import (
     ResourceCap,
     UnknownElement,
 )
-from ordercomplete.generators import GeneratorSpec, generate
+from ordercomplete.generators import GeneratorSpec, generate, random_equation
 from ordercomplete.completion import macneille_completion
 from ordercomplete.oracle import brute_bound, brute_closure, brute_lower, brute_upper
 from ordercomplete.poset import (
@@ -22,6 +22,7 @@ from ordercomplete.poset import (
     _join,
     _lower_mask,
     _meet,
+    _table_and_each,
     _upper_mask,
     build_poset,
     has_maximum,
@@ -111,6 +112,40 @@ class TestBuildPoset:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             build_poset(["a"], [], kind="nonsense")
+
+    def test_covers_build_is_what_the_validating_constructor_accepts(self):
+        """``kind="covers"`` skips the constructor's axiom checks; on every
+        shape the check corpora, the golden corpus and the capscale
+        benchmark build from cover pairs, the constructor accepts the same
+        relation, and a cycle is still refused."""
+        built = [generate(spec) for spec in _cover_specs()]
+        built += [random_equation(seed).codomain for seed in range(50)]
+        built += [build_poset(*_standard(n, range(k))) for n in range(4, 11) for k in range(7)]
+        for poset in built:
+            assert type(poset.labels) is tuple and type(poset.up_masks) is tuple
+            assert Poset(poset.labels, poset.up_masks) == poset
+        labels, pairs = _standard(10, range(3))
+        with pytest.raises(CycleDetected):
+            build_poset(labels, pairs + [("b9", "a0")])
+
+
+def _standard(n, restored=()):
+    """Labels and cover pairs of S_n (a_i < b_j for i != j), with the pairs
+    (a_i, b_i), i in ``restored``, put back."""
+    lows, highs = [f"a{i}" for i in range(n)], [f"b{j}" for j in range(n)]
+    return lows + highs, [(lows[i], highs[j]) for i in range(n) for j in range(n)
+                          if i != j or i in restored]
+
+
+def _cover_specs():
+    specs = [GeneratorSpec("chain", n=n) for n in range(1, 21)]
+    specs += [GeneratorSpec("antichain", n=n) for n in range(1, 9)]
+    specs += [GeneratorSpec("boolean", k=k) for k in range(5)]
+    specs += [GeneratorSpec("divisor", m=m) for m in range(1, 61)]
+    densities = (0.15, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
+    specs += [GeneratorSpec("random", n=n, density=d, seed=seed)
+              for seed in range(10) for n in (2 + seed % 7, 4 + seed) for d in densities]
+    return specs
 
 
 def down_set(poset, label):
@@ -291,6 +326,15 @@ class TestTableKernel:
 
     def test_empty_poset(self):
         _kernel_agrees_with_oracle(build_poset([], []), [0])
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 20])
+    def test_one_batched_read_is_one_lookup_per_mask(self, n):
+        poset = generate(GeneratorSpec("random", n=n, density=0.3, seed=n))
+        rng = random.Random(n)
+        masks = [0, poset.full_mask] + [rng.getrandbits(n) for _ in range(300)]
+        assert _table_and_each(poset._down_tables, poset.full_mask, masks) == [
+            _lower_mask(poset, mask) for mask in masks]
+        assert _table_and_each(poset._up_tables, 0b101, []) == []
 
     @pytest.mark.parametrize("n", [17, 20])
     def test_sampled_masks(self, n):

@@ -14,10 +14,11 @@ from ordercomplete.errors import (
 from ordercomplete.generators import STENCILS, GeneratorSpec, generate, random_equation
 from ordercomplete.mapext import PosetMap, is_oie
 from ordercomplete.oracle import brute_closure, brute_cuts, brute_solve
-from ordercomplete.poset import CarrierSet, Subset, build_poset
+from ordercomplete.poset import CarrierSet, Subset, _join, _meet, build_poset
 from ordercomplete.solver import EquationInstance, build_equation, global_character, solve
 
 from conftest import leq
+from test_poset import _standard
 
 
 def replace(record, **changes):
@@ -125,10 +126,13 @@ class TestImages:
                 assert image == brute_closure(instance.codomain, naive)
 
     def test_solve_never_completes_the_codomain(self):
+        """Solving reads the pre-image and the uppers t(A)^u: neither the
+        image map nor the codomain completion is built."""
         for seed in range(10):
             instance = random_equation(seed)
             for cut in brute_cuts(instance.codomain):
                 solve(instance, cut)
+            assert "images" not in vars(instance)
             assert "codomain_completion" not in vars(instance)
             assert instance.assumption_flags.empty_set_in_codomain_completion == (
                 instance.codomain_completion.empty_set_is_cut
@@ -146,6 +150,14 @@ class TestImages:
         assert solve(instance, codomain.subset(["p0"])).solvable
         with pytest.raises(ResourceCap):
             instance.codomain_completion
+
+
+    def test_quotient_beyond_the_cut_cap_is_raised_by_build_equation(self):
+        s4 = build_poset(*_standard(4))  # 16 cuts
+        t = PosetMap.from_names(CarrierSet(s4.labels), s4, {x: x for x in s4.labels})
+        with pytest.raises(ResourceCap, match="cut cap 15"):
+            build_equation(t.source, s4, t, max_cuts=15)
+        assert build_equation(t.source, s4, t, max_cuts=16).quotient_completion.cut_count == 16
 
 
 class TestTSharp:
@@ -242,16 +254,17 @@ class TestSolve:
                 assert target.mask & ~report.inf_of_images.mask == 0
 
     def test_a_solution_off_the_cut_list_is_a_bug(self, monkeypatch):
-        """Family bounds that agree on a mask off the quotient's cut list
-        raise the solver's own error, not a KeyError or InvalidCut."""
+        """A closure of the pre-image and an inf of the upper family that
+        agree on a mask off the quotient's cut list raise the solver's own
+        error, not a KeyError or InvalidCut."""
         instance = identity_instance(chain(["a", "b"]))
         order = instance.quotient
         outside = order.full_mask + 1
-        for name in ("_join", "_meet"):
+        for name in ("_closure_mask", "_meet"):
             real = getattr(solver, name)
             monkeypatch.setattr(
                 solver, name,
-                lambda poset, masks, real=real: outside if poset is order else real(poset, masks),
+                lambda poset, mask, real=real: outside if poset is order else real(poset, mask),
             )
         with pytest.raises(OrderCompletionError, match="does not map onto the target"):
             solve(instance, instance.codomain.subset(["a"]))
@@ -261,6 +274,37 @@ class TestSolve:
         report = solve(instance, instance.codomain.subset(["p"]))
         masks = [c.mask for c in report.lower_family]
         assert masks == sorted(masks, key=lambda m: (bin(m).count("1"), m))
+
+
+def _criterion_from_images(instance, f_mask):
+    """The six outputs of ``solver._criterion`` as the image map gives
+    them: the families by image inclusion, the sup and inf of the images
+    and the solution by ``_join`` and ``_meet`` of their masks."""
+    qc, images = instance.quotient_completion, instance.images
+    lower = [i for i, image in enumerate(images) if image & ~f_mask == 0]
+    upper = [i for i, image in enumerate(images) if f_mask & ~image == 0]
+    sup_images = _join(instance.codomain, [images[i] for i in lower])
+    inf_images = _meet(instance.codomain, [images[i] for i in upper])
+    solution = None
+    if sup_images == inf_images:
+        solution = _join(qc.parent, [qc.cut_masks[i] for i in lower])
+    return solution is not None, solution, sup_images, inf_images, lower, upper
+
+
+class TestCriterionFromPreimage:
+    def test_six_outputs_match_the_image_map(self):
+        s4 = build_poset(*_standard(4))
+        domain = [f"u{i}" for i in range(12)]
+        instances = [
+            identity_instance(s4),
+            make_instance(domain, s4, {x: f"a{i % 3}" for i, x in enumerate(domain)}),
+            *(generate(GeneratorSpec("gridfn", g=2, v=2, stencil=s)) for s in STENCILS),
+            *map(random_equation, range(50)),
+        ]
+        for instance in instances:
+            for target in instance.codomain_completion.cut_masks:
+                assert solver._criterion(instance, target) == _criterion_from_images(
+                    instance, target)
 
 
 class TestGlobalCharacter:
