@@ -17,7 +17,7 @@ from . import jsonio
 from .completion import DEFAULT_MAX_CUTS, CompletedPoset, macneille_completion, to_dot
 from .completion import verify_macneille
 from .errors import InvalidInput, OrderCompletionError, ResourceCap, UnknownSuite
-from .poset import DEFAULT_MAX_ARITY, CarrierSet, has_maximum, has_minimum
+from .poset import DEFAULT_MAX_ARITY, has_maximum, has_minimum
 
 # checks, generators and solver (with mapext) load only in the commands that run them
 
@@ -93,19 +93,16 @@ def _cmd_complete(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .mapext import PosetMap
     from .solver import build_equation, solve
     if (args.input is None) == (args.map is None):
         raise InvalidInput("solve needs exactly one of --input or --map")
     if args.input is not None:
         instance = _load_equation(args)
     else:
-        # a bare map poses the same problem: its source carrier is the
-        # domain, any order on it is ignored
-        mapping = jsonio.map_from_data(_read_json(args.map), max_arity=args.max_arity)
-        domain = CarrierSet(mapping.source.labels)
-        t = PosetMap(domain, mapping.target, mapping.assignment)
-        instance = build_equation(domain, mapping.target, t, max_cuts=args.max_cuts)
+        # a bare map poses the same problem: the solver reads no order on
+        # the domain, so an order on its source is ignored
+        t = jsonio.map_from_data(_read_json(args.map), max_arity=args.max_arity)
+        instance = build_equation(t.source, t.target, t, max_cuts=args.max_cuts)
     target = jsonio.target_from_data(_read_json(args.target), instance.codomain)
     report = solve(instance, target)
     _write(jsonio.dumps(jsonio.solve_report_to_data(report)), args.output)

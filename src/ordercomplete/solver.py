@@ -15,10 +15,12 @@ map t and the upper bounds t(A)^u of the quotient's cuts A.  As F is a
 cut, T#(A) = t(A)^ul lies in F exactly when A lies in P, and holds F
 exactly when t(A)^u lies in F^u.  P is a down-set, so the union of the
 lower family is P: the sup of the images below F is t(P)^ul, the inf of
-the images above F is (the union of their t(A)^u)^l, and the solution is
-cl(P) = P^ul in the quotient.  Neither the image map T# nor the
-completion of Y is built to solve; checks that walk all of their cuts
-build them on first use.
+the images above F is (the union of their t(A)^u)^l.  A solution S is P
+itself: t(S) lies in T#(S) = F, so S lies in P, and P lies in S, the sup
+of the lower family.  So solving closes nothing in the quotient, whose
+cuts serve only as a list.  Neither the image map T# nor the completion
+of Y is built to solve; checks that walk all of their cuts build them on
+first use.
 
 Finite carriers often have minima and maxima, which the general theory
 deliberately excludes; in particular the lower family can be genuinely
@@ -47,7 +49,6 @@ from .poset import (
     Poset,
     Subset,
     _Record,
-    _closure_mask,
     _lower_mask,
     _meet,
     _table_and_each,
@@ -194,10 +195,10 @@ class SolveReport(_Record):
 def _criterion(instance: EquationInstance, f_mask: int) -> tuple:
     """T#(A) = F on masks, for the codomain cut mask F: the verdict, the solution
     mask or None, the sup and inf of the images, and the lower and upper family
-    as quotient cut indices, all read off P = t^-1(F) and the t(A)^u.  Raises
-    OrderCompletionError on a broken invariant."""
+    as quotient cut indices, all read off P = t^-1(F) and the t(A)^u.  The
+    solution cl(P) is P itself: T#(cl P) = F puts t(cl P) in F, so cl P lies
+    in P.  Raises OrderCompletionError on a broken invariant."""
     qc = instance.quotient_completion
-    order = qc.parent
     codomain = instance.codomain
     t = instance.t_approx
     qmasks = qc.cut_masks
@@ -208,19 +209,18 @@ def _criterion(instance: EquationInstance, f_mask: int) -> tuple:
     upper = [i for i, up in enumerate(uppers) if up & ~f_uppers == 0]
     sup_images = extension_mask(t, pre)
     inf_images = _lower_mask(codomain, reduce(or_, [uppers[i] for i in upper], 0))
-    solution = None
-    if sup_images == inf_images:
-        solution = _closure_mask(order, pre)
-        if solution != _meet(order, [qmasks[i] for i in upper]):
+    solvable = sup_images == inf_images
+    if solvable:
+        if pre != _meet(qc.parent, [qmasks[i] for i in upper]):
             raise OrderCompletionError(
                 "sup of the lower family differs from inf of the upper family; "
                 "this is a bug"
             )
-        if solution not in qc._mask_index or extension_mask(t, solution) != f_mask:
+        if pre not in qc._mask_index or sup_images != f_mask:
             raise OrderCompletionError(
                 "constructed solution does not map onto the target; this is a bug"
             )
-    return solution is not None, solution, sup_images, inf_images, lower, upper
+    return solvable, pre if solvable else None, sup_images, inf_images, lower, upper
 
 
 def solve(instance: EquationInstance, target: Subset) -> SolveReport:

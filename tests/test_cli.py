@@ -209,6 +209,26 @@ class TestSolve:
         assert result.returncode == 0
         assert json.loads(result.stdout)["solution"] == ["u", "v"]
 
+    def test_an_order_on_the_map_source_is_ignored(self, tmp_path, capsys):
+        """A source order, here one against the map's, changes neither the
+        report nor the exit code of ``solve --map``."""
+        target_poset = {"elements": ["p", "q", "r"], "relation": [["p", "q"]],
+                        "relation_kind": "covers"}
+        bare = {"source": {"elements": ["u", "v", "w"]}, "target": target_poset,
+                "map": {"u": "p", "v": "q", "w": "q"}}
+        ordered = {**bare, "source": {"elements": ["u", "v", "w"],
+                                      "relation": [["v", "u"], ["w", "u"]],
+                                      "relation_kind": "covers"}}
+        for name, target in (("solvable", {"principal": "q"}), ("unsolvable", {"cut": ["r"]})):
+            target_path = write_target(tmp_path, target, f"{name}.json")
+            results = []
+            for kind, data in (("bare", bare), ("ordered", ordered)):
+                map_path = write_target(tmp_path, data, f"{kind}.json")
+                code = cli.main(["solve", "--map", str(map_path), "--target", str(target_path)])
+                results.append((code, *capsys.readouterr()))
+            assert results[0] == results[1]
+            assert results[0][0] == (0 if name == "solvable" else 1)
+
     def test_input_and_map_are_exclusive(self, constant_equation_file, tmp_path):
         target = write_target(tmp_path, {"principal": "p"})
         result = run(

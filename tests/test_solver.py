@@ -12,7 +12,7 @@ from ordercomplete.errors import (
     UnknownElement,
 )
 from ordercomplete.generators import STENCILS, GeneratorSpec, generate, random_equation
-from ordercomplete.mapext import PosetMap, is_oie
+from ordercomplete.mapext import PosetMap, _preimage_mask, is_oie
 from ordercomplete.oracle import brute_closure, brute_cuts, brute_solve
 from ordercomplete.poset import CarrierSet, Subset, _join, _meet, build_poset
 from ordercomplete.solver import EquationInstance, build_equation, global_character, solve
@@ -138,6 +138,14 @@ class TestImages:
                 instance.codomain_completion.empty_set_is_cut
             )
 
+    def test_solve_builds_no_quotient_tables(self):
+        """The solution is the pre-image itself: solving applies no bound
+        operator of the quotient, solvable target or not."""
+        for name, solvable in (("p", True), ("q", False)):
+            instance = one_point_into_antichain()
+            assert solve(instance, instance.codomain.subset([name])).solvable == solvable
+            assert not {"_up_tables", "_down_tables"} & set(vars(instance.quotient))
+
     def test_codomain_completion_keeps_the_cap(self):
         codomain = build_poset([f"p{i}" for i in range(4)], [])
         instance = build_equation(
@@ -254,18 +262,23 @@ class TestSolve:
                 assert target.mask & ~report.inf_of_images.mask == 0
 
     def test_a_solution_off_the_cut_list_is_a_bug(self, monkeypatch):
-        """A closure of the pre-image and an inf of the upper family that
-        agree on a mask off the quotient's cut list raise the solver's own
-        error, not a KeyError or InvalidCut."""
+        """A pre-image that is not a listed quotient cut raises the solver's
+        own error, not a KeyError or InvalidCut."""
         instance = identity_instance(chain(["a", "b"]))
-        order = instance.quotient
-        outside = order.full_mask + 1
-        for name in ("_closure_mask", "_meet"):
-            real = getattr(solver, name)
-            monkeypatch.setattr(
-                solver, name,
-                lambda poset, mask, real=real: outside if poset is order else real(poset, mask),
-            )
+        qc = instance.quotient_completion
+        index = {m: i for m, i in qc._mask_index.items() if m != 0b01}
+        monkeypatch.setitem(vars(qc), "_mask_index", index)
+        with pytest.raises(OrderCompletionError, match="does not map onto the target"):
+            solve(instance, instance.codomain.subset(["a"]))
+
+    def test_a_solution_off_the_target_is_a_bug(self, monkeypatch):
+        """A sup and an inf of the images that agree on a cut other than the
+        target raise the solver's own error.  The instance is built first:
+        ``build_equation`` reads ``extension_mask`` too."""
+        instance = identity_instance(chain(["a", "b"]))
+        full = instance.codomain.full_mask
+        monkeypatch.setattr(solver, "extension_mask", lambda t, mask: full)
+        monkeypatch.setattr(solver, "_lower_mask", lambda poset, mask: full)
         with pytest.raises(OrderCompletionError, match="does not map onto the target"):
             solve(instance, instance.codomain.subset(["a"]))
 
@@ -305,6 +318,20 @@ class TestCriterionFromPreimage:
             for target in instance.codomain_completion.cut_masks:
                 assert solver._criterion(instance, target) == _criterion_from_images(
                     instance, target)
+
+    def test_a_search_solution_is_the_preimage(self):
+        """The identity ``_criterion`` rests on, by the oracle alone: a cut
+        that exhaustive search finds mapping onto F is t^-1(F)."""
+        grids = [generate(GeneratorSpec("gridfn", g=2, v=v, stencil=s))
+                 for v in (2, 3) for s in STENCILS]
+        solved = 0
+        for instance in [*map(random_equation, range(200)), *grids]:
+            for target in brute_cuts(instance.codomain):
+                found = brute_solve(instance, target)
+                if found is not None:
+                    assert found.mask == _preimage_mask(instance.t_approx, target.mask)
+                    solved += 1
+        assert solved
 
 
 class TestGlobalCharacter:
