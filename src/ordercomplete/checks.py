@@ -10,13 +10,14 @@ both the `check` command and the test suite can share them.  Subset- and
 family-indexed checks run exhaustively while 2^count <= EXHAUSTIVE_MASKS
 and fall back to seeded deterministic samples of fixed size beyond, so a
 fixed corpus always produces the same verdict.  Every scan is a list of
-masks, ``range(2^count)`` or the sample, read by ``_members``.  While
-every mask is scanned, ``check_bound_calculus`` reads each bound kernel
-once per mask into a list indexed by the mask, and its boundedness and
-least-cut tests read two arrays that AND each principal down-set
-(up-set) into its submasks; above that, they read the n principal sets
-per sampled mask.  Either way the work does not depend on the cut count
-k.  The family sup and inf, checked against the oracle's bound scan in
+masks, ``range(2^count)`` or the sample, most read by ``_members``.
+``check_bound_calculus`` reads each bound kernel once per scanned mask
+into lists, indexed by the mask on the whole cube.  On a sample it reads
+other masks once each through a dict, the members' down-sets off
+per-byte tables, and the bounded masks in one list pass per principal
+set (on the whole cube each set ANDs itself into its submasks).  Either
+way the work does not depend on the cut count k.  The family sup and
+inf, checked against the oracle's bound scan in
 ``check_completion``, see at most 2 + 2 * BOUND_SCAN_SAMPLE families, so
 that work peaks at the threshold: at k = 12 cuts the oracle's one pass
 over the k cuts runs on all 2^k families, and above it the work of
@@ -33,9 +34,10 @@ no minimum (no maximum), which the reports surface separately.
 from __future__ import annotations
 
 import random
-from functools import cache, partial, reduce
+from bisect import bisect_right
+from functools import partial
 from itertools import product
-from operator import add, and_
+from operator import add
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .completion import CompletedPoset, cut_label, macneille_completion, verify_macneille
@@ -44,7 +46,8 @@ from .generators import GeneratorSpec, _random_pairs, generate, random_equation
 from .mapext import PosetMap, check_bound_chain, extension_cut_map, is_increasing, is_oie
 from .oracle import _brute_image_table, brute_bound, brute_cuts, brute_lower, brute_solve
 from .oracle import brute_upper
-from .poset import Poset, _doubled, _join, _lower_mask, _mask_members, _meet, _upper_mask
+from .poset import Poset, _doubled, _join, _lower_mask, _mask_labels, _mask_members, _meet
+from .poset import _row_tables, _upper_mask
 from .poset import build_poset, maximum_index, minimum_index
 from .solver import EquationInstance, _criterion, global_character
 
@@ -138,11 +141,16 @@ def _sampled_masks(poset: Poset) -> list[int]:
     return sorted(masks)
 
 
-def _superset_and(sets: Iterable[int], size: int) -> list[int]:
-    """For each mask below ``size``, the AND of the distinct sets that hold
-    it, or -1 when none does: each set ANDs itself into its submasks."""
-    out = [-1] * size
+def _superset_and(sets: Iterable[int], masks: Sequence[int], exhaustive: bool) -> list[int]:
+    """For each mask, the AND of the distinct sets that hold it, or -1 when
+    none does: on the whole cube each set ANDs itself into its submasks, on
+    a sorted sample it takes one pass over the masks up to it."""
+    out = [-1] * len(masks)
     for s in set(sets):
+        if not exhaustive:
+            end, outside = bisect_right(masks, s), ~s
+            out[:end] = [o if m & outside else o & s for o, m in zip(out, masks[:end])]
+            continue
         sub = s
         while True:  # the submasks of s, from s down to 0 (Knuth 7.1.3)
             out[sub] &= s
@@ -152,13 +160,32 @@ def _superset_and(sets: Iterable[int], size: int) -> list[int]:
     return out
 
 
+def _down_members(poset: Poset, masks: Sequence[int]) -> list[tuple[int, ...]]:
+    """The principal down-sets of each mask's members, in element order,
+    off per-byte tables of the down-sets read as ``_mask_labels`` reads labels."""
+    rows = _row_tables([(d,) for d in poset.down_masks], (), add)
+    return [_mask_labels(rows, m) for m in masks]
+
+
+class _Reads(dict):
+    """A kernel's values by mask: the scanned ones, then each other mask read once."""
+
+    def __init__(self, read: Callable[[int], int], scanned: Iterable[tuple[int, int]]) -> None:
+        super().__init__(scanned)
+        self.read = read
+
+    def __missing__(self, mask: int) -> int:
+        return self.setdefault(mask, self.read(mask))
+
+
 def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     """Identities of the upper/lower-bound operators on one completed poset.
 
     The kernels are read once per scanned mask, into lists U and L.  When
     every mask is scanned, ``masks`` is ``range(2^n)``, so the lists are
-    indexed by the mask and every identity is one pass over them; above
-    that, the closures and steps read masks off the scan, through a cache.
+    indexed by the mask and every identity is one pass over them.  Above
+    that, the closures and steps read each mask off the scan once, through
+    a dict that starts with the scan.
     """
     poset = completion.parent
     n = poset.arity
@@ -166,21 +193,20 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     down, up = poset.down_masks, poset.up_masks
     masks = _sampled_masks(poset)
     exhaustive = len(masks) == 1 << n
+    U = [_upper_mask(poset, m) for m in masks]
+    L = [_lower_mask(poset, m) for m in masks]
     if exhaustive:
-        U = [_upper_mask(poset, m) for m in masks]
-        L = [_lower_mask(poset, m) for m in masks]
         upper, lower = U.__getitem__, L.__getitem__
     else:
-        upper, lower = cache(partial(_upper_mask, poset)), cache(partial(_lower_mask, poset))
-        U, L = [upper(m) for m in masks], [lower(m) for m in masks]
+        upper = _Reads(partial(_upper_mask, poset), zip(masks, U)).__getitem__
+        lower = _Reads(partial(_lower_mask, poset), zip(masks, L)).__getitem__
 
     # a value off the carrier would index the tables or lists out of range (or,
     # if negative, from the end), so it ends the check; above 4,096 masks the
     # closures read the kernel on masks off the scan, so they are tested too
     off = next((m for m, u, l in zip(masks, U, L) if (u | l) & ~full), None)
     if off is None:
-        UL = [lower(u) for u in U]
-        LU = [upper(l) for l in L]
+        UL, LU = list(map(lower, U)), list(map(upper, L))
         off = next((m for m, ul, lu in zip(masks, UL, LU) if (ul | lu) & ~full), None)
     if off is not None:
         return [f"{name}: bounds leave the carrier on {off:#x}"]
@@ -209,11 +235,7 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     # a principal down-set holds it, and the AND of those is the least cut
     # that holds it, since every cut is the intersection of the principal
     # down-sets that hold it (Davey & Priestley 2002, ch. 7); -1 for none
-    if exhaustive:
-        above, below = _superset_and(down, 1 << n), _superset_and(up, 1 << n)
-    else:
-        above, below = ([reduce(and_, [s for s in sets if m & ~s == 0], -1) for m in masks]
-                        for sets in (down, up))
+    above, below = (_superset_and(sets, masks, exhaustive) for sets in (down, up))
     for m, u, l, a, b in zip(masks, U, L, above, below):
         if (u == 0) == (a != -1):
             fails.append(f"{name}: boundedness above mismatched on {m:#x}")
@@ -264,7 +286,8 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
         fails.append(f"{name}: closures of all subsets do not give all cuts")
 
     # closure equals the sup of embedded members, the down-sets in element order
-    for m, ul, family in zip(masks, UL, _members(down, masks)):
+    families = _members(down, masks) if exhaustive else _down_members(poset, masks)
+    for m, ul, family in zip(masks, UL, families):
         if ul != _join(poset, family):
             fails.append(f"{name}: closure is not the sup of embedded members on {m:#x}")
             break

@@ -20,7 +20,8 @@ the one doubling step that builds them (and the member lists of a whole
 cube in ``checks``), ``_table_and`` the one lookup that ANDs one entry
 per chunk (also for the image tables of ``mapext``), ``_table_and_each``
 the same lookup for a whole list of masks, one list pass per chunk, and
-``_mask_labels`` the one reader of a mask's labels off the label tables.
+``_mask_labels`` the one reader of a mask's rows off tables of tuples:
+labels, or the principal down-sets in ``checks``.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here is safe to share across threads.
@@ -79,8 +80,8 @@ def _table_and_each(tables: tuple[tuple[int, ...], ...], out: int,
     return outs
 
 
-def _mask_labels(tables: tuple[tuple[tuple[str, ...], ...], ...], mask: int) -> tuple[str, ...]:
-    """The labels of a mask's members, one lookup per chunk of 8 elements."""
+def _mask_labels(tables: tuple[tuple[tuple, ...], ...], mask: int) -> tuple:
+    """The labels (rows) of a mask's members, one lookup per chunk of 8 elements."""
     out = ()
     for table in tables:
         out += table[mask & 255]
@@ -110,8 +111,11 @@ class _Record:
     The fields are the annotated names of the class and its bases, base
     fields first; a class attribute of a field's name is its default.
     A record equals only records of its own class with equal fields.
-    ``cached_property`` and ``_trusted`` write ``__dict__``.
+    ``cached_property`` and ``_trusted`` write ``__dict__``.  The hash is
+    computed once, into a slot, so a copy of ``__dict__`` never carries it.
     """
+
+    __slots__ = ("_hash",)
 
     def __init_subclass__(cls) -> None:
         annotated = (vars(klass).get("__annotations__", ()) for klass in reversed(cls.__mro__))
@@ -153,7 +157,11 @@ class _Record:
         return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        try:
+            return self._hash
+        except AttributeError:  # first call: the fields never change
+            _setattr(self, "_hash", hash(self._key(self)))
+            return self._hash
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
@@ -351,8 +359,9 @@ def _lower_mask(poset: Poset, mask: int) -> int:
 
 
 def _closure_mask(poset: Poset, mask: int) -> int:
-    """A^ul of a mask, the least cut containing it."""
-    return _lower_mask(poset, _upper_mask(poset, mask))
+    """A^ul of a mask, the least cut containing it: the two table lookups in a row."""
+    full = poset.full_mask
+    return _table_and(poset._down_tables, full, _table_and(poset._up_tables, full, mask))
 
 
 def _join(poset: Poset, masks: Iterable[int]) -> int:

@@ -315,6 +315,93 @@ def test_bound_calculus_reads_each_kernel_once_per_mask(monkeypatch):
         assert set(counts.values()) == {1}
 
 
+def _sampled(name):
+    """A fresh completion of one of the posets that cutcalc samples."""
+    spec = {"boolean(4)": GeneratorSpec("boolean", k=4), "chain(13)": GeneratorSpec("chain", n=13),
+            "chain(20)": GeneratorSpec("chain", n=20)}.get(name)
+    return macneille_completion(poset_from_data(_standard(10)) if spec is None else generate(spec))
+
+
+# boolean(4) lists its elements by subset index (0, a, b, ab, c, ac, bc, abc,
+# d, ...), S_10 as a0 to a9, then b0 to b9; each fault flips one result bit on
+# one sampled mask and names the first failure of each loop it breaks
+@pytest.mark.parametrize(
+    "poset, kernel, fault_on, bit, expected",
+    [
+        # {a,bc,d} has only abcd above it: no upper bound left
+        ("boolean(4)", "_upper_mask", 0x142, 15, [
+            "boundedness above mismatched on 0x142",
+            "bounds are not antitone on 0x142 <= 0x414e",
+            "triple bound operator did not collapse on 0x142",
+        ]),
+        # {0,b,c,ac,d} has only 0 below it: no lower bound left
+        ("boolean(4)", "_lower_mask", 0x135, 0, [
+            "boundedness below mismatched on 0x135",
+            "triple bound operator did not collapse on 0x135",
+        ]),
+        ("boolean(4)", "_join", 0x43, 0, ["closure is not the sup of embedded members on 0x43"]),
+        # {a1,a2,a4,a5,b0} has only b0 above it
+        ("S_10", "_upper_mask", 0x436, 10, [
+            "boundedness above mismatched on 0x436",
+            "closure of 0x436 is not least above it",
+            "closure is not the sup of embedded members on 0x436",
+        ]),
+        # {a2,b1,b4,b5,b8} has only a2 below it
+        ("S_10", "_lower_mask", 0x4C804, 2, ["boundedness below mismatched on 0x4c804"]),
+        ("S_10", "_join", 0x91, 0, ["closure is not the sup of embedded members on 0x91"]),
+    ],
+)
+def test_bound_calculus_names_a_one_bit_fault_on_a_sample(poset, kernel, fault_on, bit, expected,
+                                                          monkeypatch):
+    """Above 4,096 masks the loops read the sampled masks' kernel values and
+    down-set members off their own arrays, so a one-bit fault on one sampled
+    mask is named by the loops it breaks, first failure each."""
+    completion = _sampled(poset)
+    assert fault_on in checks._sampled_masks(completion.parent)
+    down = completion.parent.down_masks
+    family = tuple(down[x] for x in range(completion.parent.arity) if fault_on >> x & 1)
+    real = getattr(checks, kernel)
+
+    def faulty(poset, arg):
+        out = real(poset, arg)
+        hit = tuple(arg) == family if kernel == "_join" else arg == fault_on
+        return out ^ 1 << bit if hit else out
+
+    monkeypatch.setattr(checks, kernel, faulty)
+    assert checks.check_bound_calculus(poset, completion) == [f"{poset}: {line}" for line in expected]
+
+
+def test_bound_calculus_reads_each_kernel_once_per_sampled_mask(monkeypatch):
+    """On boolean(4) (16 elements) every sampled mask is read, and each bound
+    kernel is read at most once per mask, on the scan or off it."""
+    completion = _sampled("boolean(4)")
+    calls = {"_upper_mask": Counter(), "_lower_mask": Counter()}
+    for kernel, counts in calls.items():
+        def counted(poset, mask, real=getattr(checks, kernel), counts=counts):
+            counts[mask] += 1
+            return real(poset, mask)
+
+        monkeypatch.setattr(checks, kernel, counted)
+    assert checks.check_bound_calculus("boolean(4)", completion) == []
+    masks = checks._sampled_masks(completion.parent)
+    assert len(masks) == 4096
+    for counts in calls.values():
+        assert set(masks) < set(counts)
+        assert set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("poset", ["boolean(4)", "chain(13)", "chain(20)", "S_10"])
+def test_down_members_list_each_mask_in_element_order(poset):
+    """The table reader of the sampled path gives each sampled mask's
+    principal down-sets, in element order, as the member list does."""
+    parent = _sampled(poset).parent
+    masks = checks._sampled_masks(parent)
+    down = parent.down_masks
+    assert checks._down_members(parent, masks) == [
+        tuple(down[i] for i in _mask_members(m)) for m in masks
+    ]
+
+
 @given(posets(max_n=12))
 def test_poset_suites_pass_on_random_posets(poset):
     """Both poset suites pass on every poset of up to 12 elements, the

@@ -156,6 +156,20 @@ def test_trusted_value_equals_validated_one(value):
     assert hash(trusted) == hash(value)
 
 
+def test_hash_is_the_hash_of_the_fields_after_a_copy(value):
+    """A record keeps its hash once computed, so a copy of its ``__dict__``
+    with one field changed, as the tests' ``replace`` builds it, must hash
+    and compare by its own fields, not by the hash of the original."""
+    cls = type(value)
+    assert hash(value) == hash(value._key(value)) == hash(value)
+    same = _trusted(cls, **vars(value))
+    assert same == value and hash(same) == hash(value)
+    for name in cls._fields:
+        changed = _trusted(cls, **{**vars(value), name: ("changed",)})
+        assert changed != value
+        assert hash(changed) == hash(changed._key(changed)) != hash(value)
+
+
 def test_values_of_different_classes_are_unequal():
     chain = SAMPLES["Poset"]
     assert Cut(chain, 0b001) != Subset(chain, 0b001)
