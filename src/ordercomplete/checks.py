@@ -13,7 +13,7 @@ fixed corpus always produces the same verdict.  Every scan is a list of
 masks, ``range(2^count)`` or the sample, most read by ``_members``.
 ``check_bound_calculus`` reads each bound kernel once per scanned mask
 into lists, indexed by the mask on the whole cube.  On a sample it reads
-other masks once each through a dict, the members' down-sets off
+every mask once through ``functools.cache``, the members' down-sets off
 per-byte tables, and the bounded masks in one list pass per principal
 set (on the whole cube each set ANDs itself into its submasks).  Either
 way the work does not depend on the cut count k.  The family sup and
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from operator import add
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -167,25 +167,13 @@ def _down_members(poset: Poset, masks: Sequence[int]) -> list[tuple[int, ...]]:
     return [_mask_labels(rows, m) for m in masks]
 
 
-class _Reads(dict):
-    """A kernel's values by mask: the scanned ones, then each other mask read once."""
-
-    def __init__(self, read: Callable[[int], int], scanned: Iterable[tuple[int, int]]) -> None:
-        super().__init__(scanned)
-        self.read = read
-
-    def __missing__(self, mask: int) -> int:
-        return self.setdefault(mask, self.read(mask))
-
-
 def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     """Identities of the upper/lower-bound operators on one completed poset.
 
     The kernels are read once per scanned mask, into lists U and L.  When
     every mask is scanned, ``masks`` is ``range(2^n)``, so the lists are
     indexed by the mask and every identity is one pass over them.  Above
-    that, the closures and steps read each mask off the scan once, through
-    a dict that starts with the scan.
+    that, every read goes through a ``functools.cache`` of its kernel.
     """
     poset = completion.parent
     n = poset.arity
@@ -193,13 +181,13 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
     down, up = poset.down_masks, poset.up_masks
     masks = _sampled_masks(poset)
     exhaustive = len(masks) == 1 << n
-    U = [_upper_mask(poset, m) for m in masks]
-    L = [_lower_mask(poset, m) for m in masks]
     if exhaustive:
+        U = [_upper_mask(poset, m) for m in masks]
+        L = [_lower_mask(poset, m) for m in masks]
         upper, lower = U.__getitem__, L.__getitem__
     else:
-        upper = _Reads(partial(_upper_mask, poset), zip(masks, U)).__getitem__
-        lower = _Reads(partial(_lower_mask, poset), zip(masks, L)).__getitem__
+        upper, lower = cache(partial(_upper_mask, poset)), cache(partial(_lower_mask, poset))
+        U, L = list(map(upper, masks)), list(map(lower, masks))
 
     # a value off the carrier would index the tables or lists out of range (or,
     # if negative, from the end), so it ends the check; above 4,096 masks the
@@ -395,10 +383,12 @@ def check_equation(name: str, instance: EquationInstance) -> list[str]:
     )
     if len(set(a)) != len(a) or not pulled_back:
         fails.append(f"{name}: induced class map is not an OIE")
-    qc = instance.quotient_completion
+    qc, table = instance.quotient_completion, _brute_image_table(instance)
     index, images = qc._mask_index, instance.images
+    if qc.cut_count != len(table):  # zip would stop at the shorter list
+        return fails + [f"{name}: {qc.cut_count} quotient cuts, {len(table)} by the oracle"]
     # the criterion reads the images, so a wrong one ends the check here
-    for mask, image, reference in zip(qc.cut_masks, images, _brute_image_table(instance)):
+    for mask, image, reference in zip(qc.cut_masks, images, table):
         if (mask, image) != reference:
             return fails + [f"{name}: image of {cut_label(qc.parent, mask)} is not the oracle's"]
     for target in instance.codomain_completion.cuts:

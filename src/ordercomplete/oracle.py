@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable
-from weakref import WeakKeyDictionary
+from weakref import finalize
 
 from .completion import CompletedPoset
 from .errors import MultipleSolutions, NoBound
@@ -110,14 +110,15 @@ def brute_covers(completion: CompletedPoset) -> list[tuple[int, int]]:
     return covers
 
 
-# one table per map and cap: equal instances share it across brute_solve
-# calls (one per target), and it dies with the instance that built it
-_image_tables: WeakKeyDictionary = WeakKeyDictionary()
+# one table per instance, by identity so that no call hashes a record: its
+# brute_solve calls (one per target) share it, and it leaves with the instance
+_image_tables: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
 def _brute_image_table(instance: EquationInstance) -> tuple[tuple[int, int], ...]:
     """(quotient cut mask, codomain image mask) pairs, all by definition."""
-    table = _image_tables.get(instance)
+    key = id(instance)
+    table = _image_tables.get(key)
     if table is not None:
         return table
     order = instance.quotient
@@ -129,7 +130,8 @@ def _brute_image_table(instance: EquationInstance) -> tuple[tuple[int, int], ...
         for i in _members(cut.mask):
             image |= 1 << assignment[i]
         pairs.append((cut.mask, brute_closure(codomain, image)))
-    table = _image_tables[instance] = tuple(pairs)
+    table = _image_tables[key] = tuple(pairs)
+    finalize(instance, _image_tables.pop, key, None)
     return table
 
 

@@ -110,12 +110,9 @@ class _Record:
 
     The fields are the annotated names of the class and its bases, base
     fields first; a class attribute of a field's name is its default.
-    A record equals only records of its own class with equal fields.
-    ``cached_property`` and ``_trusted`` write ``__dict__``.  The hash is
-    computed once, into a slot, so a copy of ``__dict__`` never carries it.
+    A record equals only records of its own class with equal fields and
+    hashes as they do; ``cached_property`` and ``_trusted`` write ``__dict__``.
     """
-
-    __slots__ = ("_hash",)
 
     def __init_subclass__(cls) -> None:
         annotated = (vars(klass).get("__annotations__", ()) for klass in reversed(cls.__mro__))
@@ -157,11 +154,7 @@ class _Record:
         return key(self) == key(other)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # first call: the fields never change
-            _setattr(self, "_hash", hash(self._key(self)))
-            return self._hash
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())

@@ -20,9 +20,9 @@ from hypothesis import given
 from ordercomplete import checks, cli, mapext, oracle, solver
 from ordercomplete.completion import _closure_mask, _trusted, macneille_completion
 from ordercomplete.generators import GeneratorSpec, generate, random_equation
-from ordercomplete.jsonio import poset_from_data
+from ordercomplete.jsonio import equation_to_data, poset_from_data
 from ordercomplete.mapext import PosetMap
-from ordercomplete.poset import CarrierSet, _mask_members
+from ordercomplete.poset import CarrierSet, _mask_members, has_maximum
 from ordercomplete.solver import EquationInstance, GlobalReport
 
 from conftest import posets
@@ -639,6 +639,27 @@ def test_macneille_names_a_dropped_cut(monkeypatch, capsys):
     assert cli.main(["check", "macneille", "--count", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "  counterexample: chain(4): enumerated cuts differ from the exhaustive scan" in out
+
+
+def test_theorem41_names_a_dropped_quotient_cut(monkeypatch, tmp_path, capsys):
+    """With the last cut dropped from every completion that has no maximum,
+    seed 3's quotient lists one cut fewer than the oracle: ``check theorem41``
+    names both counts, where a zip of the two lists would stop at the
+    shorter and pass."""
+    def faulty(poset, **caps):
+        completion = macneille_completion(poset, **caps)
+        if has_maximum(poset):
+            return completion
+        return _trusted(type(completion), parent=poset, cut_masks=completion.cut_masks[:-1])
+
+    t = random_equation(3).t
+    path = _write(tmp_path / "equation.json", equation_to_data(t.source, t.target, t))
+    monkeypatch.setattr(solver, "macneille_completion", faulty)
+    assert cli.main(["check", "theorem41", "--input", path]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL solvability criterion on 1 instances",
+        "  counterexample: input: 4 quotient cuts, 5 by the oracle",
+    ]
 
 
 def _gridfn_identity():

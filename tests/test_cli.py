@@ -7,9 +7,13 @@ import sys
 import pytest
 
 from ordercomplete import checks, cli, jsonio, solver
-from ordercomplete.errors import MultipleSolutions, OrderCompletionError
+from ordercomplete.completion import Cut
+from ordercomplete.errors import InvalidCut, MultipleSolutions, NotAPartialOrder
+from ordercomplete.errors import OrderCompletionError, UnknownElement
+from ordercomplete.mapext import PosetMap
+from ordercomplete.poset import CarrierSet, Poset, build_poset
 
-from test_golden import _standard
+from test_golden import _standard, _write
 
 CMD = [sys.executable, "-m", "ordercomplete"]
 
@@ -560,6 +564,58 @@ class TestInternalErrors:
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err == "error: internal: two cuts solve the equation\n"
+
+
+_POSET = {"elements": ["p", "q"], "relation": [["p", "q"]], "relation_kind": "covers"}
+_EQUATION = {"domain": {"elements": ["u"]}, "codomain": _POSET, "map": {"u": "p"}}
+_MAP = {"source": {"elements": ["u"]}, "target": _POSET, "map": {"u": "p"}}
+
+
+def _main(tmp_path, command, **files):
+    """``cli.main`` on ``command`` with each file written and passed as --name."""
+    argv = [command]
+    for flag, data in files.items():
+        argv += [f"--{flag}", _write(tmp_path / f"{flag}.json", data)]
+    return cli.main(argv)
+
+
+def _chain2():
+    return build_poset(["p", "q"], [("p", "q")])
+
+
+@pytest.mark.parametrize("attempt, error, message", [
+    pytest.param(lambda tmp: Cut(CarrierSet(("a",)), 1), InvalidCut,
+                 "cuts require an ordered parent", id="cut-of-a-carrier"),
+    pytest.param(lambda tmp: PosetMap(CarrierSet(("u", "v")), _chain2(), (0,)), UnknownElement,
+                 "map must assign an image to every source element", id="map-too-few-images"),
+    pytest.param(lambda tmp: PosetMap(CarrierSet(("u",)), _chain2(), (2,)), UnknownElement,
+                 "image index 2 out of target range", id="map-image-out-of-range"),
+    pytest.param(lambda tmp: Poset(("a", "b"), (1,)), NotAPartialOrder,
+                 "relation size does not match carrier", id="relation-wrong-length"),
+    pytest.param(lambda tmp: _main(tmp, "complete", input={**_POSET, "elements": ["p", 1]}),
+                 None, "elements must be an array of strings", id="elements-not-strings"),
+    pytest.param(lambda tmp: _main(tmp, "complete", input={**_POSET, "relation": "p<q"}),
+                 None, "relation must be an array of pairs", id="relation-not-a-list"),
+    pytest.param(lambda tmp: _main(tmp, "solve", input={**_EQUATION, "map": {"u": 0}},
+                                   target={"principal": "p"}),
+                 None, "map assignment must send names to names", id="map-value-not-a-name"),
+    pytest.param(lambda tmp: _main(tmp, "solve", input=_EQUATION, target={"principal": 0}),
+                 None, "principal must be an element name", id="principal-not-a-name"),
+    pytest.param(lambda tmp: _main(tmp, "solve", input=_EQUATION, map=_MAP,
+                                   target={"principal": "p"}),
+                 None, "solve needs exactly one of --input or --map", id="solve-input-and-map"),
+    pytest.param(lambda tmp: _main(tmp, "solve", target={"principal": "p"}),
+                 None, "solve needs exactly one of --input or --map", id="solve-neither"),
+])
+def test_input_checks_raise_their_class_or_exit_2(attempt, error, message, tmp_path, capsys):
+    """Each input check raises its error class, or, through ``cli.main``,
+    exits 2 with one ``error:`` line and nothing on stdout."""
+    if error is not None:
+        with pytest.raises(error, match=message):
+            attempt(tmp_path)
+        return
+    assert attempt(tmp_path) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestGen:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordercomplete import oracle
 from ordercomplete.completion import (
     CompletedPoset,
     _trusted,
@@ -280,11 +281,46 @@ class TestBruteSolve:
         gc.collect()
         assert ref() is None
 
+    def test_every_solve_on_an_instance_shares_one_table(self, monkeypatch):
+        calls = _count_brute_cuts(monkeypatch)
+        instance = random_equation(3)
+        for target in instance.codomain_completion.cuts:
+            brute_solve(instance, target)
+        assert calls == [instance.quotient]
+
+    def test_an_equal_instance_builds_its_own_table(self, monkeypatch):
+        calls = _count_brute_cuts(monkeypatch)
+        first, second = random_equation(3), random_equation(3)
+        assert first == second and first is not second
+        assert _brute_image_table(first) == _brute_image_table(second)
+        assert len(calls) == 2
+
+    def test_image_table_entry_leaves_with_its_instance(self):
+        instance = random_equation(3)
+        _brute_image_table(instance)
+        key = id(instance)
+        assert key in oracle._image_tables
+        del instance
+        gc.collect()
+        assert key not in oracle._image_tables
+
     def test_never_finds_two_solutions(self):
         for seed in range(25):
             instance = random_equation(seed)
             for target in instance.codomain_completion.cuts:
                 brute_solve(instance, target)  # MultipleSolutions would raise
+
+
+def _count_brute_cuts(monkeypatch):
+    """The posets the oracle's ``brute_cuts`` runs on, from now on."""
+    calls = []
+
+    def counted(poset):
+        calls.append(poset)
+        return brute_cuts(poset)
+
+    monkeypatch.setattr(oracle, "brute_cuts", counted)
+    return calls
 
 
 def _identity_instance(poset):
