@@ -18,7 +18,8 @@ Values are validated once, at the boundary.  The public constructors
 particular a ``CompletedPoset`` is certified to list exactly the cuts,
 so every one is complete and densely embeds its poset.  The package's
 own algorithms build values that hold by construction through
-``_trusted``, which skips that validation.
+``_trusted``, or ``_trusted_cuts`` for a tuple of cuts, which skip that
+validation.
 
 Canonical cut order is (cardinality, then member indices lexicographically);
 all reports and file formats rely on it for reproducibility.  It is
@@ -70,6 +71,15 @@ class Cut(Subset):
 
     def label(self) -> str:
         return cut_label(self.parent, self.mask)
+
+
+def _trusted_cuts(parent: Poset, masks: Sequence[int]) -> tuple[Cut, ...]:
+    """A ``_trusted`` cut of ``parent`` per mask, with no keyword dict per cut."""
+    cuts = tuple(map(object.__new__, [Cut] * len(masks)))
+    for cut, mask in zip(cuts, masks):
+        fields = cut.__dict__
+        fields["parent"], fields["mask"] = parent, mask
+    return cuts
 
 
 def is_cut(poset: Poset, subset: Subset) -> bool:
@@ -139,7 +149,7 @@ class CompletedPoset(_Record):
 
     @cached_property
     def cuts(self) -> tuple[Cut, ...]:
-        return tuple(_trusted(Cut, parent=self.parent, mask=m) for m in self.cut_masks)
+        return _trusted_cuts(self.parent, self.cut_masks)
 
     @cached_property
     def _mask_index(self) -> dict[int, int]:

@@ -6,8 +6,11 @@ element order follows the input label order, cuts follow the completion
 order, and no payload contains timestamps, so equal inputs produce
 byte-equal outputs.
 
-Report payloads hold subsets and completions, which ``dumps`` writes from
-their masks; its text is ``json.dumps(data, indent=2, ensure_ascii=False)``'s.
+Report payloads hold subsets and completions.  ``dumps`` finds the writer
+of each value by its type in one table, records first; a subclass with no
+entry is written as the first class of its MRO that has one, and any other
+type raises ``TypeError``.  Records are written from their masks, and the
+text is ``json.dumps(data, indent=2, ensure_ascii=False)``'s.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .completion import CompletedPoset
+from .completion import CompletedPoset, Cut
 from .errors import SchemaError
 from .poset import (
     CarrierSet,
@@ -23,6 +26,7 @@ from .poset import (
     Parent,
     Poset,
     Subset,
+    _check_arity,
     _mask_labels,
     _mask_members,
     build_poset,
@@ -40,28 +44,47 @@ def dumps(data: Any) -> str:
 
 
 def _text(value: Any, newline: str) -> str:
-    """JSON text of ``value``, whose lines after the first start ``newline``."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    """JSON text of ``value``, whose lines after the first start ``newline``,
+    by the writer of its type or else of the first class of its MRO that has one."""
+    kind = type(value)
+    writer = _WRITERS.get(kind) or next(filter(None, map(_WRITERS.get, kind.__mro__)), None)
+    if writer is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return writer(value, newline)
+
+
+def _subset_text(value: Subset, newline: str) -> str:
+    return _block("[", _mask_labels(value.parent._json_label_tables, value.mask), newline, "]")
+
+
+def _completion_text(value: CompletedPoset, newline: str) -> str:
+    tables, inner = value.parent._json_label_tables, newline + "  "
+    cuts = [_block("[", _mask_labels(tables, m), inner, "]") for m in value.cut_masks]
+    return _block("[", cuts, newline, "]")
+
+
+def _object_text(value: dict, newline: str) -> str:
     inner = newline + "  "
-    if isinstance(value, dict):
-        items = [encode_basestring(k) + ": " + _text(v, inner) for k, v in value.items()]
-        return _block("{", items, newline, "}")
-    if isinstance(value, (list, tuple)):
-        return _block("[", [_text(item, inner) for item in value], newline, "]")
-    if isinstance(value, Subset):
-        return _block("[", _mask_labels(value.parent._json_label_tables, value.mask), newline, "]")
-    if isinstance(value, CompletedPoset):
-        tables = value.parent._json_label_tables
-        cuts = [_block("[", _mask_labels(tables, m), inner, "]") for m in value.cut_masks]
-        return _block("[", cuts, newline, "]")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    items = [encode_basestring(k) + ": " + _text(v, inner) for k, v in value.items()]
+    return _block("{", items, newline, "}")
+
+
+def _array_text(value: Sequence, newline: str) -> str:
+    inner = newline + "  "
+    return _block("[", [_text(item, inner) for item in value], newline, "]")
+
+
+# the writer of each type, records first
+_WRITERS = {
+    Cut: _subset_text, Subset: _subset_text, CompletedPoset: _completion_text,
+    dict: _object_text,
+    list: _array_text,
+    tuple: _array_text,
+    str: lambda value, newline: encode_basestring(value),
+    bool: lambda value, newline: "true" if value else "false",
+    int: lambda value, newline: int.__repr__(value),
+    type(None): lambda value, newline: "null",
+}
 
 
 def _block(opening: str, items: Sequence[str], newline: str, closing: str) -> str:
@@ -123,22 +146,19 @@ def poset_to_data(poset: Poset) -> dict:
 def poset_from_data(data: Any, max_arity: int = DEFAULT_MAX_ARITY) -> Poset:
     data = _expect_dict(data, "poset", "elements", "relation", "relation_kind")
     elements = _expect_list_of_strings(data["elements"], "elements")
+    _check_arity(len(elements), max_arity)  # before the relation is read
     kind = data["relation_kind"]
     if kind not in ("covers", "full"):
         raise SchemaError("relation_kind must be 'covers' or 'full'")
     relation = data["relation"]
     if not isinstance(relation, list):
         raise SchemaError("relation must be an array of pairs")
-    pairs = []
     for entry in relation:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(x, str) for x in entry)
-        ):
+        # an entry that is not a list of two unpacks to no names
+        a, b = entry if isinstance(entry, list) and len(entry) == 2 else (None, None)
+        if not isinstance(a, str) or not isinstance(b, str):
             raise SchemaError("relation entries must be [from, to] name pairs")
-        pairs.append((entry[0], entry[1]))
-    return build_poset(elements, pairs, kind, max_arity=max_arity)
+    return build_poset(elements, relation, kind, max_arity=max_arity)
 
 
 def carrier_from_data(data: Any) -> CarrierSet:

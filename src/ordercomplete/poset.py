@@ -291,6 +291,11 @@ def _require_same_parent(parent: Parent, subset: Subset) -> None:
         raise ParentMismatch("subset belongs to a different carrier")
 
 
+def _check_arity(arity: int, max_arity: int) -> None:
+    if arity > max_arity:
+        raise ResourceCap(f"poset arity {arity} exceeds cap {max_arity}")
+
+
 def build_poset(
     labels: Sequence[str],
     pairs: Iterable[tuple[str, str]],
@@ -304,10 +309,9 @@ def build_poset(
     entire relation and the three axioms are checked as given.
     """
     labels = tuple(labels)
+    _check_arity(len(labels), max_arity)
     if len(set(labels)) != len(labels):
         raise DuplicateLabel("poset labels must be distinct")
-    if len(labels) > max_arity:
-        raise ResourceCap(f"poset arity {len(labels)} exceeds cap {max_arity}")
     if kind not in ("covers", "full"):
         raise ValueError(f"kind must be 'covers' or 'full', got {kind!r}")
 

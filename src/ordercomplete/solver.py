@@ -39,6 +39,7 @@ from .completion import (
     Cut,
     DEFAULT_MAX_CUTS,
     _first_decrease,
+    _trusted_cuts,
     is_cut,
     macneille_completion,
 )
@@ -241,8 +242,8 @@ def solve(instance: EquationInstance, target: Subset) -> SolveReport:
         _trusted(Cut, parent=order, mask=solution) if solvable else None,
         _trusted(Cut, parent=codomain, mask=sup_mask),
         _trusted(Cut, parent=codomain, mask=inf_mask),
-        tuple(_trusted(Cut, parent=order, mask=qmasks[i]) for i in lower),
-        tuple(_trusted(Cut, parent=order, mask=qmasks[i]) for i in upper),
+        _trusted_cuts(order, [qmasks[i] for i in lower]),
+        _trusted_cuts(order, [qmasks[i] for i in upper]),
         EmptyFamilyFlags(not lower, not upper),
         instance.assumption_flags,
     )

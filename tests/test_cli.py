@@ -583,6 +583,25 @@ def _chain2():
     return build_poset(["p", "q"], [("p", "q")])
 
 
+_OVER_CAP = [f"a{i}" for i in range(21)]
+
+
+@pytest.mark.parametrize("elements, relation", [
+    pytest.param(_OVER_CAP, [["a0", "a1"], ["a1"]], id="malformed-second-entry"),
+    pytest.param(_OVER_CAP, [["a0", "a1"]] * 300_000, id="300000-pairs"),
+    pytest.param(_OVER_CAP[:20] + ["a0"], [["a0", "a1"]], id="duplicate-labels"),
+])
+def test_over_cap_elements_exit_3_before_the_relation_is_read(
+    elements, relation, tmp_path, capsys
+):
+    """21 names exceed the default arity cap of 20: the cap binds on the
+    element list, so nothing after it (here a bad second entry or a long
+    relation, or a repeated name) is looked at."""
+    poset = {"elements": elements, "relation": relation, "relation_kind": "covers"}
+    assert _main(tmp_path, "complete", input=poset) == 3
+    assert capsys.readouterr() == ("", "error: poset arity 21 exceeds cap 20\n")
+
+
 @pytest.mark.parametrize("attempt, error, message", [
     pytest.param(lambda tmp: Cut(CarrierSet(("a",)), 1), InvalidCut,
                  "cuts require an ordered parent", id="cut-of-a-carrier"),

@@ -1,4 +1,6 @@
 import json
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,19 @@ def solve_reports(draw):
     return solve(instance, Subset(codomain, draw(st.sampled_from(masks))))
 
 
+class Level(IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+class Name(str):
+    pass
+
+
+class Names(list):
+    pass
+
+
 class TestWriter:
     """``dumps`` writes what ``json.dumps(indent=2, ensure_ascii=False)`` would."""
 
@@ -214,3 +229,19 @@ class TestWriter:
     def test_other_types_are_rejected(self):
         with pytest.raises(TypeError):
             jsonio.dumps({"density": 0.5})
+
+    @pytest.mark.parametrize("value", [
+        OrderedDict([("b", 1), ("a", [True, None])]),
+        Level.HIGH,
+        Name('"x\u2028é'),
+        Names(["a", 1, Names()]),
+        {"nested": [OrderedDict(level=Level.LOW), (Name("n"),), Names([Level.HIGH])]},
+    ], ids=["OrderedDict", "IntEnum", "str-subclass", "list-subclass", "nested"])
+    def test_subclasses_are_written_as_their_base(self, value):
+        assert jsonio.dumps(value) == reference(value)
+
+    @pytest.mark.parametrize("value, name", [(0.5, "float"), ({1}, "set"), (b"x", "bytes")])
+    def test_other_types_raise_the_standard_message(self, value, name):
+        with pytest.raises(TypeError) as raised:
+            jsonio.dumps({"key": [value]})
+        assert str(raised.value) == f"Object of type {name} is not JSON serializable"

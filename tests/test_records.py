@@ -6,6 +6,7 @@ builder gives the same value as the validating constructor.
 """
 
 import pytest
+from hypothesis import given, settings
 
 from ordercomplete import completion, mapext, solver
 from ordercomplete.completion import Cut, _trusted, macneille_completion, verify_macneille
@@ -14,6 +15,8 @@ from ordercomplete.generators import GeneratorSpec
 from ordercomplete.mapext import check_bound_chain
 from ordercomplete.poset import CarrierSet, Poset, Subset, _Record, build_poset
 from ordercomplete.solver import build_equation, global_character, solve
+
+from test_jsonio import posets, solve_reports
 
 
 def samples():
@@ -207,3 +210,27 @@ def test_string_labels_are_rejected(cls, args):
     """One string is not a list of labels: "uv" would be the carrier {u, v}."""
     with pytest.raises(InvalidInput, match="not one string"):
         cls(*args)
+
+
+def assert_built_cuts(cuts):
+    """Cuts that a builder made from masks are the validated ``Cut`` records."""
+    for cut in cuts:
+        assert type(cut) is Cut
+        validated = Cut(cut.parent, cut.mask)
+        assert cut == validated and hash(cut) == hash(validated)
+        assert cut.names() == validated.names() == Subset(cut.parent, cut.mask).names()
+
+
+@settings(max_examples=60, deadline=None)
+@given(solve_reports())
+def test_solve_families_are_cut_records(report):
+    assert_built_cuts(report.lower_family + report.upper_family)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posets())
+def test_completion_cuts_are_cut_records(poset):
+    cp = macneille_completion(poset)
+    assert all(cut.parent is poset for cut in cp.cuts)
+    assert tuple(cut.mask for cut in cp.cuts) == cp.cut_masks
+    assert_built_cuts(cp.cuts)
