@@ -45,6 +45,14 @@ class TestPosetFormat:
                 {"elements": ["a"], "relation": [["a"]], "relation_kind": "covers"}
             )
 
+    @pytest.mark.parametrize("entry", [
+        "ab", ("a", "b"), None, ["a"], ["a", "b", "a"], ["a", 1], [1, "a"], ["a", ["b"]],
+    ])
+    def test_every_relation_entry_is_a_list_of_two_names(self, entry):
+        data = {"elements": ["a", "b"], "relation": [["a", "b"], entry], "relation_kind": "covers"}
+        with pytest.raises(SchemaError, match=r"^relation entries must be \[from, to\] name pairs$"):
+            jsonio.poset_from_data(data)
+
     def test_not_an_object(self):
         with pytest.raises(SchemaError):
             jsonio.poset_from_data([1, 2])

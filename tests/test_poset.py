@@ -109,6 +109,13 @@ class TestBuildPoset:
             build_poset(labels, [])
         assert build_poset(labels, [], max_arity=25).arity == 25
 
+    def test_arity_cap_comes_before_duplicate_labels(self):
+        labels = [f"x{i}" for i in range(20)] + ["x0"]
+        with pytest.raises(ResourceCap, match="poset arity 21 exceeds cap 20"):
+            build_poset(labels, [("x0", "nowhere")])
+        with pytest.raises(DuplicateLabel):
+            build_poset(labels, [], max_arity=21)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             build_poset(["a"], [], kind="nonsense")
