@@ -10,18 +10,18 @@ both the `check` command and the test suite can share them.  Subset- and
 family-indexed checks run exhaustively while 2^count <= EXHAUSTIVE_MASKS
 and fall back to seeded deterministic samples of fixed size beyond, so a
 fixed corpus always produces the same verdict.  Every scan is a list of
-masks, ``range(2^count)`` or the sample, most read by ``_members``.
-``check_bound_calculus`` reads each bound kernel once per scanned mask
-into lists, indexed by the mask on the whole cube.  On a sample it reads
-every mask once through ``functools.cache``, the members' down-sets off
-per-byte tables, and the bounded masks in one list pass per principal
-set (on the whole cube each set ANDs itself into its submasks).  Either
-way the work does not depend on the cut count k.  The family sup and
-inf, checked against the oracle's bound scan in
-``check_completion``, see at most 2 + 2 * BOUND_SCAN_SAMPLE families, so
-that work peaks at the threshold: at k = 12 cuts the oracle's one pass
-over the k cuts runs on all 2^k families, and above it the work of
-``check_completion`` grows about linearly in k.
+masks, ``range(2^count)`` or the sample, and ``_members`` is the one
+reader of their members: by doubling on the whole cube, off per-byte
+tables otherwise.  ``check_bound_calculus`` reads each bound kernel once
+per scanned mask into lists, indexed by the mask on the whole cube.  On a
+sample it reads every mask once through ``functools.cache``, and the
+bounded masks in one list pass per principal set (on the whole cube each
+set ANDs itself into its submasks).  Either way the work does not depend
+on the cut count k.  The family sup and inf, checked against the oracle's
+bound scan in ``check_completion``, see at most 2 + 2 * BOUND_SCAN_SAMPLE
+families, so that work peaks at the threshold: at k = 12 cuts the
+oracle's one pass over the k cuts runs on all 2^k families, and above it
+the work of ``check_completion`` grows about linearly in k.
 
 Note on the full-carrier equivalence: on a carrier with a minimum, the
 set of upper bounds of {minimum} is everything, so the textbook
@@ -77,13 +77,15 @@ def _index_masks(count: int, seed: int, sample_budget: int) -> Sequence[int]:
     return masks
 
 
-def _members(items: Sequence, masks: Sequence[int]) -> Iterable[Sequence]:
+def _members(items: Sequence, masks: Sequence[int]) -> list[tuple]:
     """The items at the set bits of each mask, in order.  On the whole cube
     ``range(2^len(items))`` (a sample is always shorter) each item doubles
-    the list, by the doubling step of the poset tables."""
-    if len(masks) != 1 << len(items):
-        return ([items[i] for i in _mask_members(m)] for m in masks)
-    return _doubled([(item,) for item in items], (), add)
+    the list, by the doubling step of the poset tables; any other scan reads
+    each mask off per-byte tables of the items, as ``_mask_labels`` reads labels."""
+    rows = [(item,) for item in items]
+    if len(masks) == 1 << len(items):
+        return _doubled(rows, (), add)
+    return list(map(partial(_mask_labels, _row_tables(rows, (), add)), masks))
 
 
 def _family_count(count: int, sample_budget: int) -> int:
@@ -158,13 +160,6 @@ def _superset_and(sets: Iterable[int], masks: Sequence[int], exhaustive: bool) -
                 break
             sub = sub - 1 & s
     return out
-
-
-def _down_members(poset: Poset, masks: Sequence[int]) -> list[tuple[int, ...]]:
-    """The principal down-sets of each mask's members, in element order,
-    off per-byte tables of the down-sets read as ``_mask_labels`` reads labels."""
-    rows = _row_tables([(d,) for d in poset.down_masks], (), add)
-    return [_mask_labels(rows, m) for m in masks]
 
 
 def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
@@ -274,8 +269,7 @@ def check_bound_calculus(name: str, completion: CompletedPoset) -> list[str]:
         fails.append(f"{name}: closures of all subsets do not give all cuts")
 
     # closure equals the sup of embedded members, the down-sets in element order
-    families = _members(down, masks) if exhaustive else _down_members(poset, masks)
-    for m, ul, family in zip(masks, UL, families):
+    for m, ul, family in zip(masks, UL, _members(down, masks)):
         if ul != _join(poset, family):
             fails.append(f"{name}: closure is not the sup of embedded members on {m:#x}")
             break

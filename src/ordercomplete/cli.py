@@ -42,6 +42,8 @@ def _read_json(path: str):
 def _write(text: str, path: str | None) -> None:
     try:
         if path is None:
+            if sys.stdout is None:  # fd 1 was closed before the process started
+                raise InvalidInput("stdout: Bad file descriptor")
             sys.stdout.write(text)
             sys.stdout.flush()  # a full or closed stdout fails here, not at exit
             return
@@ -230,12 +232,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except ResourceCap as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        code, line = EXIT_CAP, f"error: {exc}"
     except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        code, line = EXIT_INVALID, f"error: {exc}"
     except OrderCompletionError as exc:
         # a broken invariant is a failed run, not bad input
-        print(f"error: internal: {exc}", file=sys.stderr)
-        return EXIT_FAILED
+        code, line = EXIT_FAILED, f"error: internal: {exc}"
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:  # a closed stderr loses the line but not the exit code
+            pass
+    return code

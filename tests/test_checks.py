@@ -390,15 +390,29 @@ def test_bound_calculus_reads_each_kernel_once_per_sampled_mask(monkeypatch):
         assert set(counts.values()) == {1}
 
 
-@pytest.mark.parametrize("poset", ["boolean(4)", "chain(13)", "chain(20)", "S_10"])
-def test_down_members_list_each_mask_in_element_order(poset):
-    """The table reader of the sampled path gives each sampled mask's
-    principal down-sets, in element order, as the member list does."""
-    parent = _sampled(poset).parent
-    masks = checks._sampled_masks(parent)
-    down = parent.down_masks
-    assert checks._down_members(parent, masks) == [
-        tuple(down[i] for i in _mask_members(m)) for m in masks
+@pytest.mark.parametrize("poset", ["boolean(4)", "chain(13)", "chain(20)", "S_10", "divisor(60)"])
+@pytest.mark.parametrize("scan", ["down-sets", "element families", "cut families"])
+def test_members_list_each_mask_in_element_order(poset, scan):
+    """The one member reader gives each mask's items in element order on
+    every scan of the two poset suites: cutcalc's down-set families,
+    macneille's element families and its cut families.  Each is sampled,
+    and read off per-byte tables, except on divisor(60) (12 elements, 12
+    cuts), where it is the whole cube, built by doubling."""
+    if poset == "divisor(60)":
+        completion = macneille_completion(generate(GeneratorSpec("divisor", m=60)))
+    else:
+        completion = _sampled(poset)
+    parent = completion.parent
+    if scan == "down-sets":
+        items, masks = parent.down_masks, checks._sampled_masks(parent)
+    elif scan == "element families":
+        items, masks = parent.down_masks, checks._index_masks(parent.arity, 1, checks.FAMILY_SAMPLE)
+    else:
+        items = completion.cut_masks
+        masks = checks._index_masks(completion.cut_count, 0, checks.BOUND_SCAN_SAMPLE)
+    assert (len(masks) == 1 << len(items)) == (poset == "divisor(60)")
+    assert checks._members(items, masks) == [
+        tuple(items[i] for i in _mask_members(m)) for m in masks
     ]
 
 

@@ -717,3 +717,39 @@ class TestStdout:
             result = subprocess.run([*CMD, *argv], stdout=full, stderr=subprocess.PIPE, text=True)
         assert result.returncode == 2
         assert result.stderr == "error: stdout: No space left on device\n"
+
+    @pytest.mark.parametrize("args", [
+        ("complete", "--input", "{poset}"),
+        ("solve", "--input", "{equation}", "--target", "{target}"),
+        ("export", "--input", "{poset}"),
+        ("check", "cutcalc", "--input", "{poset}"),
+        ("check", "boundchain", "--count", "1"),
+        ("gen", "--family", "chain", "--n", "2"),
+    ])
+    def test_closed_stdout_exits_2_with_one_error_line(
+        self, chain_file, constant_equation_file, tmp_path, args
+    ):
+        """A stdout closed before the process starts is unwritable, as a full one is."""
+        paths = {
+            "poset": chain_file,
+            "equation": constant_equation_file,
+            "target": write_target(tmp_path, {"principal": "p"}),
+        }
+        argv = [arg.format(**paths) for arg in args]
+        result = subprocess.run([*CMD, *argv], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                text=True, preexec_fn=lambda: os.close(1))
+        assert result.returncode == 2
+        assert result.stderr == "error: stdout: Bad file descriptor\n"
+
+    @pytest.mark.parametrize("args, code", [
+        (("gen", "--family", "chain", "--n", "99"), 3),
+        (("complete", "--input", "{missing}"), 2),
+    ])
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, args, code):
+        """A closed stderr loses the error line, and neither the exit code
+        nor stdout changes."""
+        argv = [arg.format(missing=tmp_path / "missing.json") for arg in args]
+        result = subprocess.run([*CMD, *argv], capture_output=True, text=True,
+                                preexec_fn=lambda: os.close(2))
+        assert result.returncode == code
+        assert result.stdout == ""
